@@ -1,24 +1,24 @@
-"""E12 — naive vs. indexed vs. incremental violation maintenance in the repair search.
+"""E12 — the naive oracle vs. the frontier search with incremental violations.
 
 The seed engine recomputed every constraint's violations from scratch at
 every search state with unindexed nested-loop joins and copied the whole
-instance per branch.  This experiment seeds the three
+instance per branch.  This experiment runs the two
 ``RepairEngine(method=...)`` paths against each other as the instance
 size and the violation count scale:
 
 * ``naive`` — full per-state recomputation, nested-loop joins (the seed
-  reference path);
-* ``indexed`` — full per-state recomputation through the per-position
-  hash indexes;
-* ``incremental`` — a single mutate/undo working instance whose
-  violation set is maintained by the :class:`ViolationTracker` (one
-  seeded per-constraint update per fact change).
+  reference path, kept as the independent oracle);
+* ``incremental`` — the frontier search, run inline: a mutate/undo
+  working instance whose violation set is maintained by the
+  :class:`ViolationTracker` (one seeded per-constraint update per fact
+  change), with ``≤_D``-minimality decided on the candidates' deltas.
 
-All three must produce identical repair sets (asserted on every sweep
-point, smoke included) and identical consistent answers on every paper
-scenario.  Acceptance gate, full sweep only: on the grouped-key workload
-with ≥ 30 key violations the incremental engine enumerates repairs ≥ 5×
-faster than the naive path.  The ``--smoke`` CI pass keeps every
+Both must produce identical repair lists, order included, and walk the
+same number of states (asserted on every sweep point, smoke included),
+and give identical consistent answers on every paper scenario.
+Acceptance gate, full sweep only: on the grouped-key workload with
+≥ 30 key violations the frontier search enumerates repairs ≥ 5× faster
+than the naive path.  The ``--smoke`` CI pass keeps every
 identity assertion but skips the wall-clock gate — shared CI runners
 make timing ratios unreliable, and the smoke contract is "same repairs
 as the seed path", not "same speedup as the dev box".
@@ -65,7 +65,7 @@ def _timed_repairs(instance, constraints, method):
     started = now()
     found = engine.repairs(instance)
     elapsed = now() - started
-    return {r.fact_set() for r in found}, elapsed, engine.statistics
+    return [r.fact_set() for r in found], elapsed, engine.statistics
 
 
 def _scenario_query(scenario):
@@ -98,14 +98,10 @@ def report(request):
             results[method], times[method], stats[method] = _timed_repairs(
                 instance, constraints, method
             )
-        # The hard guarantee: all three engines return identical repairs
-        # (and walked the same number of states doing it).
-        assert results["incremental"] == results["indexed"] == results["naive"]
-        assert (
-            stats["incremental"].states_explored
-            == stats["indexed"].states_explored
-            == stats["naive"].states_explored
-        )
+        # The hard guarantee: both engines return identical repair lists,
+        # order included (and walked the same number of states doing it).
+        assert results["incremental"] == results["naive"]
+        assert stats["incremental"].states_explored == stats["naive"].states_explored
 
         speedup = times["naive"] / times["incremental"] if times["incremental"] else float("inf")
         if not smoke and (n_groups, group_size, n_clean) == GATE_CONFIG:
@@ -122,7 +118,6 @@ def report(request):
                 len(results["naive"]),
                 stats["incremental"].states_explored,
                 f"{times['naive'] * 1000:.1f} ms",
-                f"{times['indexed'] * 1000:.1f} ms",
                 f"{times['incremental'] * 1000:.1f} ms",
                 f"{speedup:.1f}x",
                 stats["incremental"].violation_updates,
@@ -137,7 +132,6 @@ def report(request):
         "repairs",
         "states",
         "naive",
-        "indexed",
         "incremental",
         "naive/incr",
         "tracker updates",
@@ -146,7 +140,7 @@ def report(request):
     print_table(title, headers, rows)
     emit_json(title, headers, rows)
 
-    # Consistent answers must be identical across the three engine modes on
+    # Consistent answers must be identical across both engine methods on
     # every paper scenario (the non-conflicting ones the engine supports).
     scenario_rows = []
     for name, scenario in sorted(scenarios.all_scenarios().items()):
@@ -159,7 +153,7 @@ def report(request):
             )
             for method in REPAIR_METHODS
         }
-        assert answers["incremental"] == answers["indexed"] == answers["naive"]
+        assert answers["incremental"] == answers["naive"]
         scenario_rows.append([name, len(answers["incremental"]), "yes"])
     print_table(
         "E12b: consistent answers agree across engine methods on every scenario",
@@ -180,7 +174,7 @@ def bench_repair_enumeration_by_method(benchmark, method):
 
 
 def bench_incremental_on_dangling_fk_chain(benchmark):
-    """The incremental engine on the scaled Example 14 (32 repairs)."""
+    """The frontier search on the scaled Example 14 (32 repairs)."""
 
     instance, constraints = scaled_course_student(
         n_courses=10, dangling_ratio=0.5, seed=3

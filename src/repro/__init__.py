@@ -126,7 +126,6 @@ from repro.constraints import (
 )
 from repro.logic import ConjunctiveQuery, FirstOrderQuery, Query
 from repro.core import (
-    ALL_REPAIR_METHODS,
     REPAIR_METHODS,
     AnytimeRepairStream,
     ParallelRepairSearch,
@@ -275,7 +274,6 @@ __all__ = [
     "semantics_matrix",
     "Violation",
     # repairs
-    "ALL_REPAIR_METHODS",
     "REPAIR_METHODS",
     "AnytimeRepairStream",
     "ParallelRepairSearch",

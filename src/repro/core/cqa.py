@@ -6,8 +6,9 @@ for a boolean query the consistent answer is *yes* iff the sentence holds
 in every repair.  Five evaluation strategies are provided, each a
 registered engine of :mod:`repro.engines`:
 
-* ``method="direct"`` — enumerate the repairs with the repair engine of
-  :mod:`repro.core.repairs` and intersect the per-repair answer sets;
+* ``method="direct"`` — enumerate the repairs with the frontier search of
+  :mod:`repro.core.repairs` (inline, or on ``workers`` processes) and
+  intersect the per-repair answer sets;
 * ``method="program"`` — compute the repairs as the stable models of the
   repair program ``Π(D, IC)`` (cautious reasoning over the program, as the
   paper proposes) and intersect the same way;
@@ -166,12 +167,13 @@ def consistent_answers_report(
         estimate_repairs: only affects the rewriting-based strategies,
             where the repair count is a conflict-graph estimate that
             costs one extra pass; the answer-only wrappers disable it.
-        repair_mode: the direct engine's violation-evaluation method
-            (:data:`repro.core.repairs.ALL_REPAIR_METHODS`); every mode
-            returns the same repairs, so this only affects cost —
-            benchmarks E12 and E14 compare them.
-        workers: processes for ``repair_mode="parallel"`` (``<= 1``
-            runs the same decomposition inline).
+        repair_mode: the direct engine's repair search
+            (:data:`repro.core.repairs.REPAIR_METHODS`): the frontier
+            search (``"incremental"``) or the ``"naive"`` reference
+            oracle; both return the same repairs, so this only affects
+            cost — benchmark E12 compares them.
+        workers: processes for the frontier search (``<= 1`` runs the
+            same decomposition inline; benchmark E14 compares them).
         deadline: wall-clock seconds for the whole request; past it the
             typed :class:`repro.errors.DeadlineExceededError` is raised
             (exact surfaces never return a silently partial answer set).

@@ -1,16 +1,16 @@
-"""Parallel, anytime repair search over the mutate/undo DFS frontier.
+"""The repair search: an anytime frontier search over the mutate/undo DFS.
 
-The incremental engine of :mod:`repro.core.repairs` explores one
-violation-resolution tree depth-first with a single working instance.
-This module splits that tree into **frontier tasks** — unexplored
-subtree roots identified by their branch-index *path* from the root —
-and executes them either inline (``workers <= 1``) or on a
-``concurrent.futures.ProcessPoolExecutor``, one seeded
-:class:`~repro.core.repairs.ViolationTracker` and one copy-on-write
-instance per worker process.
+:class:`~repro.core.repairs.RepairEngine` explores one
+violation-resolution tree depth-first with a single working instance
+whose violations a :class:`~repro.core.repairs.ViolationTracker`
+maintains incrementally.  This module splits that tree into **frontier
+tasks** — unexplored subtree roots identified by their branch-index
+*path* from the root — and executes them either inline
+(``workers <= 1``) or on a ``concurrent.futures.ProcessPoolExecutor``,
+one seeded tracker and one copy-on-write instance per worker process.
 
-Three properties make the result exactly interchangeable with the
-sequential engines:
+Three properties make the result independent of the worker count and
+identical to the depth-first order of the ``"naive"`` reference search:
 
 * **Deterministic decomposition.**  A task explores at most
   ``chunk_states`` states; whatever frontier it could not expand is
@@ -24,8 +24,8 @@ sequential engines:
   candidates by path and keeping the lexicographically least occurrence
   of each fact set reproduces the *discovery order* of the sequential
   depth-first search (a DFS discovers every state at its
-  lexicographically least reachable path), so ``method="parallel"``
-  returns a bit-identical repair list to ``method="incremental"``.
+  lexicographically least reachable path), so every worker count
+  returns a bit-identical repair list to ``method="naive"``.
 * **Sibling-exclusion partitioning** (denial-only constraint sets).
   When no constraint has consequent atoms, every fix is a deletion of
   an original fact, and branch *i* of a violation can soundly exclude
@@ -339,11 +339,11 @@ class SearchContext:
     """A worker's private search state: instance, tracker, exclusion flag.
 
     One context is built per worker process (and one inline for
-    ``workers <= 1``); it pays the full violation sweep once and then
-    runs any number of tasks against the same working instance by
-    replaying each task's delta before the bounded DFS and undoing it
-    after — the same mutate/undo discipline the incremental engine
-    uses, lifted to task granularity.
+    ``workers <= 1``); it pays the full violation sweep once — or none,
+    when *seed* is a tracker already maintained over an instance with
+    the same facts and constraints — and then runs any number of tasks
+    against the same working instance by replaying each task's delta
+    before the bounded DFS and undoing it after.
     """
 
     def __init__(
@@ -351,6 +351,7 @@ class SearchContext:
         instance: DatabaseInstance,
         constraints: Union[ViolationIndex, ConstraintSet, Iterable[AnyConstraint]],
         exclusions: Optional[bool] = None,
+        seed: Optional[ViolationTracker] = None,
     ):
         self.index = (
             constraints
@@ -358,7 +359,7 @@ class SearchContext:
             else ViolationIndex(constraints)
         )
         self.working = instance.copy()
-        self.tracker = ViolationTracker(self.working, self.index)
+        self.tracker = ViolationTracker(self.working, self.index, seed=seed)
         self.exclusions = (
             exclusion_safe(self.index.constraints) if exclusions is None else exclusions
         )
@@ -639,8 +640,12 @@ class ParallelRepairSearch:
     Aggregate counters accumulate into :attr:`statistics` via
     :meth:`RepairStatistics.merge` as tasks finish; ``states_explored``
     sums the per-task counts, so with overlapping subtrees (non
-    denial-only constraints) it may exceed the sequential engines'
-    unique-state count — the ``max_states`` budget applies to that sum.
+    denial-only constraints) it may exceed the ``"naive"`` search's
+    unique-state count — the ``max_states`` budget applies to that sum
+    and is checked as each task finishes.
+
+    *seed_tracker* warm-starts the inline search context (see
+    :class:`SearchContext`); pool workers sweep on their own.
     """
 
     def __init__(
@@ -654,8 +659,10 @@ class ParallelRepairSearch:
         violation_index: Optional[ViolationIndex] = None,
         budget: Optional[Budget] = None,
         retry_policy: Optional[RetryPolicy] = None,
+        seed_tracker: Optional[ViolationTracker] = None,
     ):
         self._instance = instance
+        self._seed_tracker = seed_tracker
         self._constraints = (
             constraints
             if isinstance(constraints, ConstraintSet)
@@ -809,7 +816,10 @@ class ParallelRepairSearch:
 
         if self._workers <= 1:
             context = SearchContext(
-                self._instance, self._index, exclusions=self._exclusions
+                self._instance,
+                self._index,
+                exclusions=self._exclusions,
+                seed=self._seed_tracker,
             )
             while queue:
                 if budget is not None:
@@ -1035,7 +1045,7 @@ class ParallelRepairSearch:
 
         Candidates are sorted by path and deduplicated keeping the
         lexicographically least path per (inserted, deleted) pair —
-        exactly the order the sequential depth-first search first
+        exactly the order a single depth-first search first
         discovers them in (a candidate's fact set determines its delta
         and vice versa, so delta-level dedup is fact-level dedup).
 
@@ -1169,7 +1179,7 @@ class AnytimeRepairStream:
     repair becomes available, never *which*.
 
     After exhaustion :attr:`ordered_repairs` holds the repairs in the
-    sequential engines' canonical discovery order (the order
+    canonical discovery order (the order
     ``RepairEngine.repairs`` returns), and :attr:`states_at_first_yield`
     records how deep into the search the first proof landed.
     """

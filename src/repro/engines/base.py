@@ -48,13 +48,13 @@ class CQAConfig:
     * ``null_is_unknown`` — evaluate queries with SQL-style unknown
       comparisons instead of treating ``null`` as an ordinary constant;
     * ``max_states`` — the repair-search state budget;
-    * ``repair_mode`` — the direct engine's violation-evaluation method
-      (:data:`repro.core.repairs.ALL_REPAIR_METHODS`, including
-      ``"parallel"``);
-    * ``workers`` — worker processes for ``repair_mode="parallel"``
-      (``<= 1`` runs the same deterministic task decomposition inline;
-      every mode returns identical answers, so this is purely a
-      performance knob);
+    * ``repair_mode`` — the direct engine's repair search
+      (:data:`repro.core.repairs.REPAIR_METHODS`): ``"incremental"``,
+      the frontier search, or ``"naive"``, the reference oracle;
+    * ``workers`` — worker processes for the frontier search (``<= 1``
+      runs the same deterministic task decomposition inline, ``>= 2``
+      on a process pool; answers are identical either way, so this is
+      purely a performance knob);
     * ``anytime`` — let :meth:`repro.session.ConsistentDatabase.certain`
       short-circuit through :meth:`CQAEngine.certain_anytime` as soon
       as one streamed repair refutes the candidate;

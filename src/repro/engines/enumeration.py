@@ -26,9 +26,9 @@ class DirectEngine(CQAEngine):
     """Enumerate repairs with :class:`repro.core.repairs.RepairEngine`.
 
     The repository's reference implementation of Definition 7; its
-    violation-evaluation method is selected by ``config.repair_mode``
-    (``"parallel"`` distributes the search across
-    ``config.workers`` processes with bit-identical output).
+    search is selected by ``config.repair_mode`` and runs across
+    ``config.workers`` processes when that is ``>= 2`` (bit-identical
+    output either way).
 
     >>> from repro import ConsistentDatabase, parse_constraint, parse_query
     >>> db = ConsistentDatabase(
@@ -63,9 +63,9 @@ class DirectEngine(CQAEngine):
         """Stream repairs and stop at the first counterexample.
 
         Repairs arrive from :meth:`ConsistentDatabase.stream_repairs` —
-        the anytime frontier when ``repair_mode="parallel"``, the cached
-        list otherwise — so one refuting repair ends the computation
-        without finishing the search.  Open queries without a candidate
+        the anytime frontier, or the cached list when one exists — so
+        one refuting repair ends the computation without finishing the
+        search.  Open queries without a candidate
         tuple fall back (``None``): their answer *set* needs every
         repair anyway.
 

@@ -4,8 +4,9 @@ For one :class:`ScenarioCase` the runner builds a session (trace
 replayed), runs a configurable set of *probes* — engine/mode pairs —
 under a per-probe budget, and cross-checks:
 
-* **repair lists, order included** — the direct family (incremental /
-  naive / indexed / parallel) documents bit-identical output, so raw
+* **repair lists, order included** — the direct family (the frontier
+  search inline or on a pool, and the naive oracle) documents
+  bit-identical output, so raw
   list order is part of the contract and any mismatch is a
   ``repair-order`` divergence; across families (direct vs the
   stable-model program route) only canonical set-of-repairs equality is
@@ -70,14 +71,13 @@ class ProbeSpec:
 
 
 #: The reference probe — the repository's reference implementation of
-#: Definition 7, warm-tracker incremental mode.
+#: Definition 7: the warm-started frontier search, run inline.
 REFERENCE_PROBE = ProbeSpec("direct:incremental", "direct", "incremental", enumerates=True)
 
 ALL_PROBES: Tuple[ProbeSpec, ...] = (
     REFERENCE_PROBE,
     ProbeSpec("direct:naive", "direct", "naive", enumerates=True),
-    ProbeSpec("direct:indexed", "direct", "indexed", enumerates=True),
-    ProbeSpec("direct:parallel", "direct", "parallel", workers=2, enumerates=True),
+    ProbeSpec("direct:parallel", "direct", workers=2, enumerates=True),
     ProbeSpec("program", "program", enumerates=True),
     ProbeSpec("rewriting", "rewriting"),
     ProbeSpec("auto", "auto"),

@@ -112,6 +112,9 @@ class ExplainReport:
                if self.plan.estimated_repairs is not None else "")
         )
         lines.append(f"  reason: {self.plan.reason}")
+        # The plan is advisory: an explicit ``method=`` override runs
+        # another engine, so name the one that actually executed.
+        lines.append(f"Executed: {self.result.method}")
         lines.append(
             f"Cache: generation={self.generation} "
             f"hits={self.cache.hits} misses={self.cache.misses} "

@@ -30,7 +30,7 @@ a ``with`` block::
     from repro.resilience import FaultSpec, chaos
 
     with chaos(FaultSpec(seed=17, rate=0.02)):
-        db.report(query, repair_mode="parallel", workers=2)
+        db.report(query, method="direct", workers=2)
 
 The chaos test suite (``tests/chaos/``, run in CI under
 ``REPRO_CHAOS=1``) drives ≥ 50 such schedules and asserts the system

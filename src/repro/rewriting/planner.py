@@ -44,9 +44,10 @@ if TYPE_CHECKING:
     from repro.analysis.diagnostics import Diagnostic
 
 
-#: Estimated repairs above which the planner recommends the parallel
-#: repair search (when the caller has workers to spend).  Below it the
-#: pool/decomposition overhead outweighs the spread.
+#: Estimated repairs from which an enumeration fallback runs the repair
+#: search on the caller's process pool (when it offered ≥ 2 workers).
+#: Below it the pool overhead outweighs the spread, so the search runs
+#: inline.
 PARALLEL_REPAIR_THRESHOLD = 16
 
 
@@ -70,12 +71,12 @@ class CQAPlan:
     estimated_repairs: Optional[int] = None
     costs: Dict[str, float] = field(default_factory=dict)
     rewritten: Optional[RewrittenQuery] = None
-    #: Recommended ``RepairEngine`` method for an enumeration fallback —
-    #: ``"parallel"`` when the caller offered ≥ 2 workers and the repair
-    #: estimate clears :data:`PARALLEL_REPAIR_THRESHOLD`, else ``None``
-    #: (keep the configured mode).  Parallel output is bit-identical to
-    #: incremental, so following the recommendation never changes answers.
-    repair_mode: Optional[str] = None
+    #: The worker count ``method="auto"`` hands the engine it delegates
+    #: to: the caller's ``workers`` for an enumeration fallback whose
+    #: repair estimate clears :data:`PARALLEL_REPAIR_THRESHOLD`, else 0
+    #: (inline).  The pool's output is bit-identical to the inline
+    #: search's, so this never changes answers.
+    workers: int = 0
     #: Filled by ``ConsistentDatabase.explain()``: True when the session
     #: has already cached its constraint set's compiled plans
     #: (:class:`repro.compile.kernel.CompiledProgram`) — a prior
@@ -183,9 +184,9 @@ def plan_cqa(
         max_states: the repair-search budget, used only to warn when
             the repair estimate exceeds it.
         workers: processes the caller is willing to spend on an
-            enumeration fallback; ``>= 2`` lets the plan recommend the
-            parallel repair search (``plan.repair_mode``) and report
-            its projected cost under ``costs["parallel"]``.
+            enumeration fallback; ``>= 2`` lets the plan run a large
+            one on the process pool (``plan.workers``) and report its
+            projected cost under ``costs["parallel"]``.
 
     Returns:
         A :class:`CQAPlan`; ``method="auto"`` follows it verbatim.
@@ -229,14 +230,14 @@ def plan_cqa(
         )
         if cheaper != "direct":
             reason += " (the cost model rates the program route cheaper here)"
-        repair_mode: Optional[str] = None
+        pool_workers = 0
         if workers >= 2:
-            # The parallel mode is bit-identical to incremental, so the
-            # recommendation is purely a cost call: the search spreads
-            # across the workers, the merge and ≤_D filter mostly too.
+            # The pool is bit-identical to the inline search, so this is
+            # purely a cost call: the search spreads across the workers,
+            # the merge and ≤_D filter mostly too.
             costs["parallel"] = costs["direct"] / float(workers)
             if estimated >= PARALLEL_REPAIR_THRESHOLD:
-                repair_mode = "parallel"
+                pool_workers = workers
                 reason += (
                     f" (parallel repair search across {workers} workers;"
                     " identical repairs, shorter wall-clock)"
@@ -254,7 +255,7 @@ def plan_cqa(
             unsupported_diagnostic=error.diagnostic,
             estimated_repairs=estimated,
             costs=costs,
-            repair_mode=repair_mode,
+            workers=pool_workers,
         )
 
     # Rewriting needs one scan per query atom plus hash lookups per residue;

@@ -775,8 +775,7 @@ class ConsistentDatabase:
         Args:
             query: the conjunctive or first-order query.
             **overrides: any :class:`repro.engines.CQAConfig` field,
-                e.g. ``db.report(q, method="direct",
-                repair_mode="parallel", workers=4)``.
+                e.g. ``db.report(q, method="direct", workers=4)``.
 
         Returns:
             A fully populated :class:`repro.core.cqa.CQAResult`
@@ -931,8 +930,8 @@ class ConsistentDatabase:
                 (``report.render()`` pretty-prints it).  ``False`` (the
                 default) plans only and executes nothing.
             **overrides: any :class:`repro.engines.CQAConfig` field —
-                notably ``workers=N`` lets the plan recommend the
-                parallel repair search for enumeration fallbacks.
+                notably ``workers=N`` lets the plan hand a large
+                enumeration fallback to the process pool.
 
         Returns:
             The cached-per-generation
@@ -1032,7 +1031,7 @@ class ConsistentDatabase:
     def iter_repairs(
         self,
         method: str = "direct",
-        stream: Optional[bool] = None,
+        stream: bool = False,
         **overrides: Any,
     ) -> Iterator[DatabaseInstance]:
         """Lazily iterate the repairs of the current instance.
@@ -1044,9 +1043,8 @@ class ConsistentDatabase:
                 its ``≤_D``-minimality is *proven*, while the frontier
                 search is still running (see
                 :class:`repro.core.parallel.AnytimeRepairStream`);
-                ``False`` enumerates fully first and then iterates the
-                cached list.  ``None`` (default) streams exactly when
-                the effective ``repair_mode`` is ``"parallel"``.
+                ``False`` (default) enumerates fully first and then
+                iterates the cached list.
             **overrides: any :class:`repro.engines.CQAConfig` field.
 
         Returns:
@@ -1078,8 +1076,6 @@ class ConsistentDatabase:
                 f"'program', not {method!r}"
             )
         config = self._config.merged(overrides)
-        if stream is None:
-            stream = method == "direct" and config.repair_mode == "parallel"
         if stream and method != "direct":
             raise ValueError("stream=True requires method='direct'")
 
@@ -1103,22 +1099,21 @@ class ConsistentDatabase:
         The engine-facing sibling of ``iter_repairs(stream=True)``:
         yields the repairs of a copy-on-write snapshot of the current
         instance (safe against concurrent session mutations) without
-        defensive copies.  When a cached repair list already exists for
-        this generation — under the configured repair mode *or* the
-        parallel one; every mode's list is bit-identical — it is
-        replayed instead, already "proven".  A fully drained stream
-        stores the canonical repair list under the **parallel** cache
-        key (the engine that actually produced it, so per-mode
-        statistics and budget semantics stay honest) and updates
+        defensive copies.  When the frontier search's repair list is
+        already cached for this generation it is replayed instead,
+        already "proven".  A fully drained stream stores the canonical
+        repair list under that cache key and updates
         ``last_repair_statistics``; an abandoned stream (e.g. an
         anytime ``certain`` that found its counterexample) cancels the
-        remaining frontier tasks.
+        remaining frontier tasks.  The stream always runs the frontier
+        search, whatever ``repair_mode`` says.
 
-        Note on budgets: the frontier search's ``max_states`` applies
-        to the *sum* of per-task states, which on constraint sets with
-        consequent atoms can exceed the sequential engines'
-        unique-state count — a streaming call may hit the budget where
-        an incremental enumeration of the same instance would not.
+        Note on budgets: ``max_states`` counts the *sum* of per-task
+        states and is checked as each task (chunk) finishes, exactly as
+        in a non-streaming enumeration.  On constraint sets with
+        consequent atoms the sum can exceed the ``"naive"`` search's
+        unique-state count, and a chunk may overshoot the cap by up to
+        its own size before the check fires.
 
         Args:
             config: the merged :class:`repro.engines.CQAConfig`;
@@ -1126,21 +1121,14 @@ class ConsistentDatabase:
                 distributes the search across processes.
         """
 
-        from repro.core.repairs import PARALLEL_METHOD
-
         config = config if config is not None else self._config
-        generation = self._instance.generation
-        parallel_config = (
-            config
-            if config.repair_mode == PARALLEL_METHOD
-            else config.merged({"repair_mode": PARALLEL_METHOD})
+        key = self._direct_repairs_key(
+            "incremental", config.max_states, self._instance.generation
         )
-        parallel_key = self._direct_repairs_key(parallel_config, generation)
-        for key in {self._direct_repairs_key(config, generation), parallel_key}:
-            cached = self._cache.get(key)
-            if cached is not None:
-                yield from cached
-                return
+        cached = self._cache.get(key)
+        if cached is not None:
+            yield from cached
+            return
 
         from repro.core.parallel import AnytimeRepairStream, ParallelRepairSearch
 
@@ -1184,7 +1172,7 @@ class ConsistentDatabase:
             search.statistics.repairs_found = len(stream.ordered_repairs)
             self.last_repair_statistics = search.statistics
             _metrics.absorb_repair_statistics(search.statistics)
-            self._cache.put(parallel_key, stream.ordered_repairs)
+            self._cache.put(key, stream.ordered_repairs)
 
     def repair_count(self, method: str = "direct", **overrides: Any) -> int:
         """The exact number of repairs (enumerates them, cached).
@@ -1210,31 +1198,26 @@ class ConsistentDatabase:
         return len(self.repairs_list(method, config))
 
     # ------------------------------------------------------------------ engine-facing cache surface
-    def _direct_repairs_key(self, config: CQAConfig, generation: int) -> Tuple:
+    def _direct_repairs_key(
+        self, repair_mode: str, max_states: Optional[int], generation: int
+    ) -> Tuple:
         """Cache key of the direct enumeration's repair list.
 
-        Deliberately excludes ``workers``: every repair mode (and any
-        worker count) returns a bit-identical list, so segmenting the
-        cache by it would only recompute identical entries.
-        ``repair_mode`` stays in the key because the modes differ in
-        the statistics they leave behind, which tests inspect.
+        Deliberately excludes ``workers``: every worker count returns a
+        bit-identical list, so segmenting the cache by it would only
+        recompute identical entries.  ``repair_mode`` stays in the key
+        so that the ``"naive"`` oracle never replays a list the frontier
+        search produced (and vice versa).
         """
 
-        return (
-            "repairs",
-            "direct",
-            self._fingerprint,
-            generation,
-            config.repair_mode,
-            config.max_states,
-        )
+        return ("repairs", "direct", self._fingerprint, generation, repair_mode, max_states)
 
     def repairs_list(self, method: str, config: CQAConfig) -> List[DatabaseInstance]:
         """The repairs of the current instance, cached per generation.
 
-        ``"direct"`` runs :class:`RepairEngine` — warm-started from the
-        session's violation tracker in ``"incremental"`` repair mode, so
-        no full violation sweep happens per query — and ``"program"``
+        ``"direct"`` runs :class:`RepairEngine` — its frontier search
+        warm-started from the session's violation tracker, so no full
+        violation sweep happens per query — and ``"program"``
         the stable-model route.  Engines and the repair iterator share
         this cache; treat the returned list and its instances as
         read-only.
@@ -1242,7 +1225,9 @@ class ConsistentDatabase:
 
         generation = self._instance.generation
         if method == "direct":
-            key = self._direct_repairs_key(config, generation)
+            key = self._direct_repairs_key(
+                config.repair_mode, config.max_states, generation
+            )
         elif method == "program":
             key = ("repairs", "program", self._fingerprint, generation)
         else:
@@ -1259,9 +1244,7 @@ class ConsistentDatabase:
                 violation_index=self._violation_index,
                 workers=config.workers,
             )
-            seed = (
-                self._ensure_tracker() if config.repair_mode == "incremental" else None
-            )
+            seed = self._ensure_tracker() if config.repair_mode != "naive" else None
             with self._execution_scope(config):
                 found = engine.repairs(self._instance, seed_tracker=seed)
             self.last_repair_statistics = engine.statistics

@@ -78,7 +78,7 @@ def run_degraded_schedule(seed: int, exact) -> None:
     """One schedule against a degrade-budget stream: exact or flagged subset."""
 
     exact_deltas = {(inserted, deleted) for _, inserted, deleted in exact}
-    db = ConsistentDatabase(make_rows(), [KEY], repair_mode="parallel", workers=2)
+    db = ConsistentDatabase(make_rows(), [KEY], workers=2)
     base = set(db.instance.fact_set())
     with chaos(spec_for(seed)):
         yielded = list(

@@ -1,7 +1,7 @@
-"""The parallel, anytime repair search (``method="parallel"``).
+"""The frontier repair search, inline and on a process pool, and its anytime stream.
 
 Covers the frontier-task decomposition of :mod:`repro.core.parallel`:
-bit-identical output against the incremental reference (list equality —
+bit-identical output against the ``"naive"`` oracle (list equality —
 same repairs, same discovery order), the sibling-exclusion partitioning
 on denial-only constraint sets, deferred-task splitting under tiny
 chunk budgets, process-pool execution, the explicit per-worker
@@ -23,8 +23,7 @@ from repro.core.parallel import (
     frontier_could_dominate,
 )
 from repro.core.repairs import (
-    ALL_REPAIR_METHODS,
-    PARALLEL_METHOD,
+    REPAIR_METHODS,
     RepairEngine,
     RepairSearchBudgetExceeded,
     RepairStatistics,
@@ -40,29 +39,27 @@ from repro.workloads import (
 )
 
 
-def incremental_repairs(instance, constraints, **kwargs):
+def naive_repairs(instance, constraints, **kwargs):
+    return RepairEngine(constraints, method="naive", **kwargs).repairs(instance)
+
+
+def frontier_repairs(instance, constraints, **kwargs):
     return RepairEngine(constraints, **kwargs).repairs(instance)
-
-
-def parallel_repairs(instance, constraints, **kwargs):
-    return RepairEngine(constraints, method=PARALLEL_METHOD, **kwargs).repairs(
-        instance
-    )
 
 
 class TestBitIdenticalOutput:
     @pytest.mark.parametrize("chunk", [1, 3, 1024])
-    def test_every_scenario_matches_incremental_exactly(self, all_scenarios, chunk):
+    def test_every_scenario_matches_naive_exactly(self, all_scenarios, chunk):
         """Same repair *list* — contents and discovery order — per scenario."""
 
         for name, scenario in sorted(all_scenarios.items()):
             if not scenario.constraints.is_non_conflicting():
                 continue
-            reference = incremental_repairs(scenario.instance, scenario.constraints)
-            parallel = parallel_repairs(
+            reference = naive_repairs(scenario.instance, scenario.constraints)
+            found = frontier_repairs(
                 scenario.instance, scenario.constraints, chunk_states=chunk
             )
-            assert parallel == reference, f"scenario {name} diverged at chunk={chunk}"
+            assert found == reference, f"scenario {name} diverged at chunk={chunk}"
 
     @pytest.mark.parametrize("chunk", [5, 64])
     def test_grouped_key_workload_exclusion_partitioning(self, chunk):
@@ -70,8 +67,8 @@ class TestBitIdenticalOutput:
             n_groups=3, group_size=3, n_clean=6, seed=3
         )
         assert exclusion_safe(constraints)
-        reference = incremental_repairs(instance, constraints)
-        assert parallel_repairs(instance, constraints, chunk_states=chunk) == reference
+        reference = naive_repairs(instance, constraints)
+        assert frontier_repairs(instance, constraints, chunk_states=chunk) == reference
 
     @pytest.mark.parametrize("chunk", [5, 64])
     def test_foreign_key_workload_overlapping_subtrees(self, chunk):
@@ -81,15 +78,15 @@ class TestBitIdenticalOutput:
             n_parents=4, n_children=7, violation_ratio=0.4, null_ratio=0.3, seed=1
         )
         assert not exclusion_safe(constraints)
-        reference = incremental_repairs(instance, constraints)
-        assert parallel_repairs(instance, constraints, chunk_states=chunk) == reference
+        reference = naive_repairs(instance, constraints)
+        assert frontier_repairs(instance, constraints, chunk_states=chunk) == reference
 
     def test_process_pool_matches_inline(self):
         instance, constraints = grouped_key_workload(
             n_groups=3, group_size=3, n_clean=5, seed=0
         )
-        reference = incremental_repairs(instance, constraints)
-        with_processes = parallel_repairs(
+        reference = naive_repairs(instance, constraints)
+        with_processes = frontier_repairs(
             instance, constraints, workers=2, chunk_states=7
         )
         assert with_processes == reference
@@ -100,9 +97,9 @@ class TestBitIdenticalOutput:
         instance, constraints = foreign_key_workload(
             n_parents=3, n_children=5, violation_ratio=0.5, null_ratio=0.4, seed=7
         )
-        reference = incremental_repairs(instance, constraints)
+        reference = naive_repairs(instance, constraints)
         assert (
-            parallel_repairs(instance, constraints, workers=2, chunk_states=5)
+            frontier_repairs(instance, constraints, workers=2, chunk_states=5)
             == reference
         )
 
@@ -112,22 +109,24 @@ class TestBitIdenticalOutput:
         instance, constraints = grouped_key_workload(
             n_groups=4, group_size=3, n_clean=4, seed=2
         )
-        reference = incremental_repairs(instance, constraints)
+        reference = frontier_repairs(instance, constraints)  # inline filter
         assert len(reference) == 81  # above the slicing threshold
-        assert parallel_repairs(instance, constraints, workers=2) == reference
+        assert frontier_repairs(instance, constraints, workers=2) == reference
 
     def test_method_validation(self):
-        assert PARALLEL_METHOD in ALL_REPAIR_METHODS
-        with pytest.raises(ValueError, match="turbo"):
-            RepairEngine(ConstraintSet(), method="turbo")
-        RepairEngine(ConstraintSet(), method=PARALLEL_METHOD)  # accepted
+        assert REPAIR_METHODS == ("incremental", "naive")
+        for retired in ("turbo", "indexed", "parallel"):
+            with pytest.raises(ValueError, match=retired):
+                RepairEngine(ConstraintSet(), method=retired)
+        for method in REPAIR_METHODS:
+            RepairEngine(ConstraintSet(), method=method)  # accepted
 
     def test_budget_applies_to_the_task_sum(self):
         instance, constraints = grouped_key_workload(
             n_groups=3, group_size=3, n_clean=5, seed=0
         )
         with pytest.raises(RepairSearchBudgetExceeded):
-            parallel_repairs(instance, constraints, max_states=10, chunk_states=4)
+            frontier_repairs(instance, constraints, max_states=10, chunk_states=4)
 
 
 class TestHypothesisEquivalence:
@@ -147,13 +146,13 @@ class TestHypothesisEquivalence:
         st.lists(st.tuples(VALUES, VALUES), max_size=2),
         st.integers(min_value=1, max_value=9),
     )
-    def test_parallel_equals_incremental_on_generated_instances(
+    def test_frontier_equals_naive_on_generated_instances(
         self, p_rows, r_rows, chunk
     ):
         instance = DatabaseInstance.from_dict({"P": p_rows, "R": r_rows})
-        reference = incremental_repairs(instance, self.CONSTRAINTS)
+        reference = naive_repairs(instance, self.CONSTRAINTS)
         assert (
-            parallel_repairs(instance, self.CONSTRAINTS, chunk_states=chunk)
+            frontier_repairs(instance, self.CONSTRAINTS, chunk_states=chunk)
             == reference
         )
 
@@ -162,7 +161,7 @@ class TestStatisticsMerge:
     def test_merge_sums_counters_but_not_wall_clock(self):
         """Counters and task CPU sum; wall-clock stays the driver's own.
 
-        Summing per-task wall clock under ``method="parallel"`` would
+        Summing per-task wall clock across frontier tasks would
         report more elapsed time than actually passed — the driver owns
         ``search_seconds``/``minimality_seconds``, tasks contribute
         ``task_cpu_seconds``.
@@ -222,7 +221,7 @@ class TestStatisticsMerge:
         instance, constraints = grouped_key_workload(
             n_groups=2, group_size=3, n_clean=3, seed=4
         )
-        engine = RepairEngine(constraints, method=PARALLEL_METHOD, chunk_states=4)
+        engine = RepairEngine(constraints, chunk_states=4)
         found = engine.repairs(instance)
         stats = engine.statistics
         assert stats.repairs_found == len(found) == 9
@@ -305,17 +304,17 @@ class TestSessionSurface:
         )
         return ConsistentDatabase(instance, constraints, method="direct", **kwargs)
 
-    def test_iter_repairs_streams_under_parallel_mode(self):
-        db = self.make_grouped(repair_mode="parallel")
-        reference = list(self.make_grouped().iter_repairs())
-        streamed = list(db.iter_repairs())  # stream=None → parallel ⇒ stream
+    def test_iter_repairs_streams_from_the_pool(self):
+        db = self.make_grouped(workers=2)
+        reference = list(self.make_grouped(repair_mode="naive").iter_repairs())
+        streamed = list(db.iter_repairs(stream=True))
         assert {r.fact_set() for r in streamed} == {
             r.fact_set() for r in reference
         }
 
     def test_stream_warms_the_repair_cache(self):
-        db = self.make_grouped(repair_mode="parallel")
-        list(db.iter_repairs())
+        db = self.make_grouped()
+        list(db.iter_repairs(stream=True))
         query = parse_query("ans(e) <- Emp(e, d, s)")
         db.consistent_answers(query)
         stats = db.last_repair_statistics
@@ -324,7 +323,7 @@ class TestSessionSurface:
         # enumeration ran, so the counters are still the stream's.
         assert db.cache_info().hits >= 1
 
-    def test_explicit_stream_with_incremental_mode(self):
+    def test_stream_and_list_agree(self):
         db = self.make_grouped()
         streamed = list(db.iter_repairs(stream=True))
         listed = list(db.iter_repairs(stream=False))
@@ -336,7 +335,7 @@ class TestSessionSurface:
             db.iter_repairs(method="program", stream=True)
 
     def test_certain_anytime_matches_standard(self):
-        db = self.make_grouped(repair_mode="parallel")
+        db = self.make_grouped()
         query = parse_query("ans(e) <- Emp(e, d, s)")
         refuted = parse_query("ans(d) <- Emp(e, d, s)")
         assert db.certain(query, ("e0",), anytime=True) is True
@@ -366,7 +365,7 @@ class TestSessionSurface:
         assert db.certain(open_refuted, ("sales",), anytime=True) is False
 
     def test_config_carries_workers_and_anytime(self):
-        db = self.make_grouped(repair_mode="parallel", workers=3, anytime=True)
+        db = self.make_grouped(workers=3, anytime=True)
         assert db.config.workers == 3
         assert db.config.anytime is True
         assert db.config.cache_key()[-1] == 3  # workers segment the cache
@@ -386,12 +385,12 @@ class TestAutoPlansParallel:
         )
         return ConsistentDatabase(instance, constraints, method="auto", **kwargs)
 
-    def test_plan_recommends_parallel_with_workers(self):
+    def test_plan_hands_the_pool_its_workers(self):
         db = self.cyclic(workers=4)
         query = parse_query("ans(x) <- P(x, y)")  # cyclic RICs: unsupported
         plan = db.explain(query)
         assert plan.method == "direct"
-        assert plan.repair_mode == "parallel"
+        assert plan.workers == 4
         assert plan.costs["parallel"] == pytest.approx(plan.costs["direct"] / 4)
         assert "parallel" in plan.reason
 
@@ -399,8 +398,23 @@ class TestAutoPlansParallel:
         db = self.cyclic()
         query = parse_query("ans(x) <- P(x, y)")
         plan = db.explain(query)
-        assert plan.repair_mode is None
+        assert plan.workers == 0
         assert "parallel" not in plan.costs
+
+    def test_auto_runs_only_large_fallbacks_on_the_pool(self):
+        """PARALLEL_REPAIR_THRESHOLD picks the worker count auto hands direct."""
+
+        from repro.workloads import cyclic_ric_workload
+
+        query = parse_query("ans(x) <- P(x, y)")
+        for n_rows, planned, pooled in ((2, 0, False), (6, 2, True)):
+            instance, constraints = cyclic_ric_workload(
+                n_rows=n_rows, violation_ratio=0.5, seed=2
+            )
+            db = ConsistentDatabase(instance, constraints, method="auto", workers=2)
+            assert db.explain(query).workers == planned
+            db.report(query)
+            assert (db.last_repair_statistics.tasks_shipped > 0) is pooled
 
     def test_auto_with_workers_matches_direct(self):
         instance, constraints = grouped_key_workload(

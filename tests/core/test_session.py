@@ -354,7 +354,7 @@ class TestFunctionalWrappers:
 
     def test_is_consistent_answer_threads_repair_mode(self):
         instance = DatabaseInstance.from_dict(DATA)
-        for mode in ("incremental", "indexed", "naive"):
+        for mode in ("incremental", "naive"):
             assert is_consistent_answer(
                 instance, [RIC], QUERY, ("C15",), repair_mode=mode
             )
@@ -365,7 +365,7 @@ class TestFunctionalWrappers:
     def test_consistent_boolean_answer_threads_repair_mode(self):
         instance = DatabaseInstance.from_dict(DATA)
         boolean = parse_query("ans() <- Student(i, n), Course(i, c)")
-        for mode in ("incremental", "indexed", "naive"):
+        for mode in ("incremental", "naive"):
             assert consistent_boolean_answer(
                 instance, [RIC], boolean, repair_mode=mode
             )

@@ -19,7 +19,6 @@ def wide_db(pairs=8, **kwargs):
     return ConsistentDatabase(
         {"Emp": [(f"e{i}", d) for i in range(pairs) for d in ("a", "b")]},
         [KEY],
-        repair_mode="parallel",
         **kwargs,
     )
 

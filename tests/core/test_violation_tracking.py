@@ -1,7 +1,8 @@
 """Unit tests for the incremental violation machinery of the repair engine.
 
-Covers the predicate → constraint :class:`ViolationIndex`, the three
-``RepairEngine`` methods (which must produce identical repairs), the
+Covers the predicate → constraint :class:`ViolationIndex`, the two
+``RepairEngine`` methods (the frontier search and the naive oracle,
+which must produce identical repair lists, order included), the
 extended :class:`RepairStatistics` counters and the structural,
 name-independent violation chooser key.
 """
@@ -22,7 +23,16 @@ from repro.core.repairs import (
 from repro.core.satisfaction import violations
 from repro.relational.domain import NULL
 from repro.relational.instance import DatabaseInstance
-from repro.workloads import foreign_key_workload, grouped_key_workload, scenarios
+from repro.explore.sources.corpus import corpus_entries
+from repro.obs import metrics
+from repro.session import ConsistentDatabase
+from repro.workloads import (
+    cyclic_ric_workload,
+    foreign_key_workload,
+    grouped_key_workload,
+    scaled_course_student,
+    scenarios,
+)
 from repro.constraints.parser import parse_query
 
 
@@ -62,22 +72,6 @@ class TestEngineMethods:
         found = engine.repairs(scenario.instance)
         assert fact_sets(found) == fact_sets(scenario.expected_repairs)
 
-    def test_methods_agree_on_workloads(self):
-        cases = [
-            grouped_key_workload(n_groups=3, group_size=3, n_clean=5, seed=0),
-            foreign_key_workload(
-                n_parents=4, n_children=7, violation_ratio=0.4, null_ratio=0.3, seed=1
-            ),
-        ]
-        for instance, constraints in cases:
-            results = {
-                method: fact_sets(
-                    RepairEngine(constraints, method=method).repairs(instance)
-                )
-                for method in REPAIR_METHODS
-            }
-            assert results["incremental"] == results["indexed"] == results["naive"]
-
     def test_methods_explore_identical_search_trees(self, all_scenarios):
         scenario = all_scenarios["example_19"]
         states = set()
@@ -85,7 +79,7 @@ class TestEngineMethods:
             engine = RepairEngine(scenario.constraints, method=method)
             engine.repairs(scenario.instance)
             states.add(engine.statistics.states_explored)
-        assert len(states) == 1  # same chooser, same tree, all three methods
+        assert len(states) == 1  # same chooser, same tree, both methods
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
@@ -111,7 +105,7 @@ class TestEngineMethods:
             )
             for mode in REPAIR_METHODS
         }
-        assert answers["incremental"] == answers["indexed"] == answers["naive"]
+        assert answers["incremental"] == answers["naive"]
 
 
 class TestStructuralChooserKey:
@@ -160,3 +154,61 @@ class TestStructuralChooserKey:
             if baseline is None:
                 baseline = found
             assert found == baseline
+
+
+ORACLE_SHAPES = {
+    "grouped_key": lambda: grouped_key_workload(
+        n_groups=3, group_size=3, n_clean=5, seed=0
+    ),
+    "foreign_key": lambda: foreign_key_workload(6, 20, 0.2, 0.1, 2),
+    "foreign_key_nulls": lambda: foreign_key_workload(
+        n_parents=4, n_children=7, violation_ratio=0.4, null_ratio=0.3, seed=1
+    ),
+    "cyclic_ric": lambda: cyclic_ric_workload(10, 0.4, 1),
+    "course_student": lambda: scaled_course_student(
+        n_courses=12, dangling_ratio=0.3, seed=1
+    ),
+}
+ORACLE_SHAPES.update(
+    (f"corpus:{path.stem}", lambda case=case: (case.instance, case.constraints))
+    for path, case, _ in corpus_entries()
+)
+
+
+class TestFrontierSearchAgainstOracle:
+    """The one production search against the independent ``naive`` oracle."""
+
+    @pytest.mark.parametrize("shape", sorted(ORACLE_SHAPES))
+    def test_repair_lists_identical_order_included(self, shape):
+        instance, constraints = ORACLE_SHAPES[shape]()
+        found = RepairEngine(constraints).repairs(instance)
+        reference = RepairEngine(constraints, method="naive").repairs(instance)
+        assert found == reference
+        assert [r.fact_set() for r in found] == [r.fact_set() for r in reference]
+
+    @pytest.mark.parametrize(
+        "shape, states, repairs",
+        [("cyclic_ric", 255, 128), ("foreign_key", 15, 8)],
+    )
+    def test_states_explored_equal_the_oracle_unique_state_count(
+        self, shape, states, repairs
+    ):
+        instance, constraints = ORACLE_SHAPES[shape]()
+        frontier = RepairEngine(constraints)
+        oracle = RepairEngine(constraints, method="naive")
+        assert len(frontier.repairs(instance)) == len(oracle.repairs(instance)) == repairs
+        assert frontier.statistics.states_explored == states
+        assert oracle.statistics.states_explored == states
+
+    def test_warm_session_direct_report_runs_no_full_sweep(self):
+        instance, constraints = grouped_key_workload(
+            n_groups=3, group_size=3, n_clean=5, seed=0
+        )
+        db = ConsistentDatabase(instance, constraints)
+        db.is_consistent()  # builds the session's tracker: the one sweep
+        sweeps = metrics.counter("repro_tracker_sweeps_total")
+        before = sweeps.value
+        result = db.report(parse_query("ans(e) <- Emp(e, d, s)"), method="direct")
+        assert sweeps.value == before
+        assert result.repair_count == 27
+        assert db.last_repair_statistics.violation_updates > 0

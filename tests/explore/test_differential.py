@@ -61,7 +61,7 @@ class TestSignatures:
 
     def test_mode_suffix_does_not_change_the_signature(self):
         a = Divergence(kind="answers", left="direct:naive", right="program")
-        b = Divergence(kind="answers", left="direct:indexed", right="program")
+        b = Divergence(kind="answers", left="direct:parallel", right="program")
         assert a.signature == b.signature
 
 

@@ -9,7 +9,7 @@ drift apart silently.
 
 import pytest
 
-from repro.constraints.parser import parse_query
+from repro.constraints.parser import parse_constraint, parse_query
 from repro.obs import trace
 from repro.obs.analyze import ExplainReport
 from repro.rewriting import CQAPlan
@@ -112,6 +112,17 @@ class TestExplainAnalyze:
         # The plan stays advisory (it may recommend another engine); the
         # *executed* request must honour the override.
         assert report.result.method == "direct"
+
+    def test_render_names_the_executed_engine_next_to_the_plan(self):
+        db = ConsistentDatabase(
+            {"Emp": [("e1", "sales"), ("e1", "hr")]},
+            [parse_constraint("Emp(e, d), Emp(e, f) -> d = f")],
+        )
+        query = parse_query("ans(e) <- Emp(e, d)")
+        forced = db.explain(query, analyze=True, method="direct").render()
+        assert "Plan: rewriting" in forced
+        assert "Executed: direct" in forced
+        assert "Executed: rewriting" in db.explain(query, analyze=True).render()
 
 
 class TestReconciliation:

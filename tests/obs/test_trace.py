@@ -308,7 +308,7 @@ class TestWellFormedOnEveryScenario:
         with trace.tracing(True):
             trace.reset()
             engine = RepairEngine(
-                constraints, method="parallel", workers=2, chunk_states=3
+                constraints, workers=2, chunk_states=3
             )
             engine.repairs(instance)
             roots = trace.tracer().roots

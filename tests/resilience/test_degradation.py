@@ -50,7 +50,7 @@ class TestStrictSurfaces:
             )
 
     def test_stream_without_degrade_raises_on_state_cap(self):
-        db = ConsistentDatabase(wide_instance(), [KEY], repair_mode="parallel")
+        db = ConsistentDatabase(wide_instance(), [KEY])
         with pytest.raises(RuntimeError):  # RepairSearchBudgetExceeded
             list(db.iter_repairs(stream=True, max_states=5))
 
@@ -85,7 +85,7 @@ class TestStrictSurfaces:
 
 class TestDegradedStream:
     def test_partial_stream_is_flagged(self):
-        db = ConsistentDatabase(wide_instance(), [KEY], repair_mode="parallel")
+        db = ConsistentDatabase(wide_instance(), [KEY])
         partial = list(db.iter_repairs(stream=True, max_states=5, degrade=True))
         record = db.last_degradation
         assert record is not None
@@ -95,8 +95,7 @@ class TestDegradedStream:
         assert "frontier" in record.detail
 
     def test_degraded_run_does_not_pollute_cache(self):
-        db = ConsistentDatabase({"Emp": [("e1", "a"), ("e1", "b")]}, [KEY],
-                                repair_mode="parallel")
+        db = ConsistentDatabase({"Emp": [("e1", "a"), ("e1", "b")]}, [KEY])
         partial = list(db.iter_repairs(stream=True, max_states=1, degrade=True))
         full = list(db.iter_repairs(stream=True))
         assert len(full) == 2
@@ -104,21 +103,19 @@ class TestDegradedStream:
 
     def test_yielded_repairs_are_sound(self):
         # Whatever a degraded stream yields must be in the exact repair set.
-        db = ConsistentDatabase(wide_instance(4), [KEY], repair_mode="parallel")
+        db = ConsistentDatabase(wide_instance(4), [KEY])
         exact = {
             frozenset(r.facts())
             for r in ConsistentDatabase(wide_instance(4), [KEY]).iter_repairs()
         }
         for budget in (1, 5, 20, 100):
-            dbp = ConsistentDatabase(wide_instance(4), [KEY],
-                                     repair_mode="parallel")
+            dbp = ConsistentDatabase(wide_instance(4), [KEY])
             for repair in dbp.iter_repairs(stream=True, max_states=budget,
                                            degrade=True):
                 assert frozenset(repair.facts()) in exact
 
     def test_complete_run_resets_degradation(self):
-        db = ConsistentDatabase({"Emp": [("e1", "a"), ("e1", "b")]}, [KEY],
-                                repair_mode="parallel")
+        db = ConsistentDatabase({"Emp": [("e1", "a"), ("e1", "b")]}, [KEY])
         list(db.iter_repairs(stream=True, max_states=1, degrade=True))
         assert db.last_degradation is not None
         db.insert("Emp", ("e9", "z"))  # new generation: bypass the cache
@@ -126,7 +123,7 @@ class TestDegradedStream:
         assert db.last_degradation is None
 
     def test_session_default_degrade_knob(self):
-        db = ConsistentDatabase(wide_instance(), [KEY], repair_mode="parallel",
+        db = ConsistentDatabase(wide_instance(), [KEY],
                                 max_states=5, degrade=True)
         list(db.iter_repairs(stream=True))
         assert db.last_degradation is not None
@@ -134,8 +131,7 @@ class TestDegradedStream:
 
 class TestAnytimeCertainDegrade:
     def test_degraded_certain_returns_best_known_and_flags(self):
-        db = ConsistentDatabase(wide_instance(), [KEY], method="direct",
-                                repair_mode="parallel")
+        db = ConsistentDatabase(wide_instance(), [KEY], method="direct")
         query = parse_query("ans(e) <- Emp(e, d)")
         outcome = db.certain(query, ("e0",), anytime=True, max_states=5,
                              degrade=True)
@@ -144,8 +140,7 @@ class TestAnytimeCertainDegrade:
 
     def test_refutation_beats_degradation(self):
         # A counterexample found inside the budget is exact, not degraded.
-        db = ConsistentDatabase(wide_instance(), [KEY], method="direct",
-                                repair_mode="parallel")
+        db = ConsistentDatabase(wide_instance(), [KEY], method="direct")
         query = parse_query("ans(d) <- Emp(e, d)")
         assert db.certain(query, ("a",), anytime=True, degrade=True) is False
 
@@ -157,8 +152,7 @@ class TestDeadlineLatency:
         from repro.obs import clock
 
         deadline = 0.5
-        db = ConsistentDatabase(wide_instance(12), [KEY],
-                                repair_mode="parallel", workers=2)
+        db = ConsistentDatabase(wide_instance(12), [KEY], workers=2)
         started = clock.now()
         list(db.iter_repairs(stream=True, deadline=deadline, degrade=True))
         elapsed = clock.now() - started
