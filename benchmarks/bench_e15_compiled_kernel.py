@@ -5,24 +5,17 @@ schedule per call, copied a ``dict`` per candidate row and re-resolved
 constants/repeated variables per match.  :mod:`repro.compile.kernel`
 lowers each constraint once into a :class:`~repro.compile.plans.JoinPlan`
 (compile-time schedule, slot-based bindings, specialised matchers,
-pushed-down null guards); on top of that sit two further backends added
-with the columnar/codegen layer:
-
-* :mod:`repro.compile.codegen` specialises each plan to generated
-  Python source (nested loops, inlined constants and null guards) —
-  the row-at-a-time executor every consumer uses by default;
-* :mod:`repro.relational.columnar` runs full-plan sweeps
-  column-at-a-time over an interned per-predicate column store with
-  selection-vector joins.
+pushed-down null guards), and :mod:`repro.compile.codegen` specialises
+each plan to generated Python source (nested loops, inlined constants
+and null guards) — the executor every consumer runs.
 
 This experiment sweeps the grouped-key workload (the E11/E12 scaling
 instance: ``n_groups`` key-conflict groups over two FDs) and times the
-violation-enumeration hot path five ways:
+violation-enumeration hot path four ways:
 
 * **full kernel** — ``all_violations(instance, constraints)`` (the
-  default: compiled plans + codegen + columnar batch sweeps);
-* **codegen** — columnar disabled, generated row-at-a-time executors;
-* **plan interp** — codegen and columnar disabled: the step
+  default: compiled plans run by generated executors);
+* **plan interp** — ``codegen.overridden(False)``: the step
   interpreter over compiled plans (the pre-codegen default);
 * **interpreted** — ``all_violations(..., compiled=False)`` (dynamic
   per-call scheduling, no compiled plans);
@@ -36,7 +29,7 @@ pin the end-to-end contract, and a fourth replays the mixed
 random scenarios — small, adversarial, null-heavy) across every
 backend.
 
-**Identity assertions always run** (smoke mode included): all five
+**Identity assertions always run** (smoke mode included): all four
 violation paths return the same violation sets at every sweep point,
 all query paths the same answer sets, and the repair engine built on
 the kernel (``incremental``, the frontier search) returns repair lists
@@ -62,7 +55,6 @@ from repro.compile.kernel import compiler_statistics
 from repro.constraints.parser import parse_query
 from repro.core.repairs import RepairEngine
 from repro.core.satisfaction import all_violations
-from repro.relational import columnar
 from repro.workloads import grouped_key_workload
 from harness import best_of, corpus_workload, emit_json, print_table
 
@@ -106,12 +98,8 @@ def report(request):
         def _sweep_full():
             return all_violations(instance, constraints)
 
-        def _sweep_codegen():
-            with columnar.overridden(False):
-                return all_violations(instance, constraints)
-
         def _sweep_plan():
-            with codegen.overridden(False), columnar.overridden(False):
+            with codegen.overridden(False):
                 return all_violations(instance, constraints)
 
         def _sweep_interp():
@@ -125,7 +113,6 @@ def report(request):
         # violation sets (and no duplicates) on every backend.
         assert (
             set(full)
-            == set(_sweep_codegen())
             == set(_sweep_plan())
             == set(_sweep_interp())
             == set(_sweep_naive())
@@ -133,7 +120,6 @@ def report(request):
         assert len(full) == len(set(full))
 
         t_full = _best_of(_sweep_full, 12)
-        t_codegen = _best_of(_sweep_codegen, 12)
         t_plan = _best_of(_sweep_plan, 12)
         t_interp = _best_of(_sweep_interp, 6)
         t_naive = _best_of(_sweep_naive, 2)
@@ -148,7 +134,6 @@ def report(request):
                 f"{t_naive * 1000:.1f} ms",
                 f"{t_interp * 1000:.1f} ms",
                 f"{t_plan * 1000:.2f} ms",
-                f"{t_codegen * 1000:.2f} ms",
                 f"{t_full * 1000:.2f} ms",
                 f"{speedup:.1f}x",
                 f"{naive_speedup:.1f}x",
@@ -175,7 +160,6 @@ def report(request):
         "naive",
         "interpreted",
         "plan interp",
-        "codegen",
         "full kernel",
         "interp/kernel",
         "naive/kernel",
@@ -191,7 +175,7 @@ def report(request):
         compiled_answers = query.answers(instance)
         assert compiled_answers == query.answers(instance, compiled=False)
         assert compiled_answers == query.answers(instance, naive=True)
-        with codegen.overridden(False), columnar.overridden(False):
+        with codegen.overridden(False):
             assert compiled_answers == query.answers(instance)
         t_compiled = _best_of(lambda: query.answers(instance), 12)
         t_interp = _best_of(lambda: query.answers(instance, compiled=False), 6)
@@ -240,13 +224,13 @@ def report(request):
         assert set(case_violations) == set(
             all_violations(case.instance, case.constraints, naive=True)
         )
-        with codegen.overridden(False), columnar.overridden(False):
+        with codegen.overridden(False):
             assert set(case_violations) == set(
                 all_violations(case.instance, case.constraints)
             )
         case_answers = case.query.answers(case.instance)
         assert case_answers == case.query.answers(case.instance, compiled=False)
-        with codegen.overridden(False), columnar.overridden(False):
+        with codegen.overridden(False):
             assert case_answers == case.query.answers(case.instance)
         corpus_rows.append(
             [
@@ -295,12 +279,12 @@ def bench_interpreted_violation_enumeration(benchmark):
 
 
 def bench_plan_interpreter_violation_enumeration(benchmark):
-    """The compiled kernel with codegen and columnar disabled."""
+    """The compiled kernel with codegen disabled (the step interpreter)."""
 
     instance, constraints = _workload(25)
 
     def run():
-        with codegen.overridden(False), columnar.overridden(False):
+        with codegen.overridden(False):
             return all_violations(instance, constraints)
 
     run()

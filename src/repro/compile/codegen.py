@@ -20,18 +20,14 @@ suite pins ``codegen == interpreted`` on every workload; the reference
 interpreter itself must never import this module (lint rule INV006),
 so the cross-validation cannot become circular.
 
-Fallback knobs:
-
-* ``REPRO_CODEGEN=0`` in the environment disables generation globally
-  (checked per call, so worker processes and tests see it live);
-* :func:`overridden` installs a scoped override — the session threads
-  ``CQAConfig.codegen`` through it per request;
-* :func:`set_enabled` flips the process default.
+Generated code is the only production executor.  :func:`overridden`
+is the one hook back to the interpreter: tests and benchmark E15 scope
+``overridden(False)`` to run the reference step interpreter through the
+same kernel entry points.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
@@ -74,10 +70,7 @@ _CODEGEN_SOURCE_BYTES = _metrics.counter(
 _GENERATED_ATTR = "_codegen_executor"
 _INTERPRETED_ATTR = "_codegen_fallback"
 
-_ENV_FLAG = "REPRO_CODEGEN"
-
-_DEFAULT_ENABLED = True
-_FORCED: Optional[bool] = None
+_ENABLED = True
 
 
 @dataclass
@@ -98,44 +91,34 @@ def codegen_statistics() -> CodegenStatistics:
 
 
 def enabled() -> bool:
-    """Is plan code generation active for the current call?
+    """Is plan code generation active for the current call?"""
 
-    ``REPRO_CODEGEN=0`` wins over everything; otherwise a scoped
-    :func:`overridden` value, then the process default.
-    """
-
-    if os.environ.get(_ENV_FLAG, "") == "0":
-        return False
-    if _FORCED is not None:
-        return _FORCED
-    return _DEFAULT_ENABLED
-
-
-def set_enabled(on: bool) -> None:
-    """Flip the process-wide default (``REPRO_CODEGEN=0`` still wins)."""
-
-    global _DEFAULT_ENABLED
-    _DEFAULT_ENABLED = on
+    return _ENABLED
 
 
 @contextmanager
 def overridden(on: Optional[bool]) -> Iterator[None]:
-    """Scoped enable/disable override; ``None`` leaves the state alone."""
+    """Scoped enable/disable override; ``None`` leaves the state alone.
 
-    global _FORCED
+    ``overridden(False)`` runs every plan through the reference step
+    interpreter :func:`~repro.compile.plans.iter_plan_matches` for the
+    duration of the block.
+    """
+
+    global _ENABLED
     if on is None:
         yield
         return
-    previous = _FORCED
-    _FORCED = on
+    previous = _ENABLED
+    _ENABLED = on
     try:
         yield
     finally:
-        _FORCED = previous
+        _ENABLED = previous
 
 
 def matcher(plan: JoinPlan) -> PlanExecutor:
-    """The executor for *plan*: generated when codegen is on, else interpreted.
+    """The executor for *plan*: generated, or interpreted under ``overridden(False)``.
 
     Both variants are cached on the plan object, so the steady-state
     cost of this call is one flag check and one ``__dict__`` probe.

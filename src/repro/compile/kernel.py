@@ -76,7 +76,6 @@ from repro.core.relevant import relevant_body_variables, relevant_positions
 from repro.core.satisfaction import Violation, not_null_violations
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-from repro.relational import columnar as _columnar
 from repro.resilience import budget as _budget
 from repro.compile import codegen as _codegen
 from repro.compile.plans import (
@@ -512,11 +511,11 @@ class CompiledConstraint:
         """Body matches that survive the built-in and witness conditions.
 
         *matches* is any plan-match iterator over caller-owned arrays —
-        the code-generated executor, the interpreter, or the columnar
-        batch path all plug in here.  The relevant-null guard already ran
-        inside the join (pushed down to the binding step); the remaining
-        ``|=_N`` conditions run here, in the interpreter's order:
-        built-in disjunction, then head-atom witnesses.
+        the code-generated executor or the step interpreter.  The
+        relevant-null guard already ran inside the join (pushed down to
+        the binding step); the remaining ``|=_N`` conditions run here, in
+        the interpreter's order: built-in disjunction, then head-atom
+        witnesses.
         """
 
         comparisons = self.comparisons
@@ -550,24 +549,6 @@ class CompiledConstraint:
         slots: List[Constant] = [None] * self.n_slots  # type: ignore[list-item]
         rows: List[Optional[Row]] = [None] * len(self.body_predicates)
         matches = _codegen.matcher(plan)(relations, slots, rows, seed_row, initial)
-        return self._emit_from(relations, matches, slots, rows)
-
-    def _emit_batch(self, relations: DatabaseInstance) -> Iterator[Violation]:
-        """Full-plan enumeration over the columnar store (batch path)."""
-
-        store = _columnar.store_for(relations)
-        slots: List[Constant] = [None] * self.n_slots  # type: ignore[list-item]
-        rows: List[Optional[Row]] = [None] * len(self.body_predicates)
-        matches = _columnar.iter_batch_matches(self.full_plan, store, slots, rows)
-        return self._emit_from(relations, matches, slots, rows)
-
-    def _emit_from(
-        self,
-        relations: Relations,
-        matches: Iterator[None],
-        slots: List[Constant],
-        rows: List[Optional[Row]],
-    ) -> Iterator[Violation]:
         bindings_layout = self.sorted_bindings
         predicates = self.body_predicates
         constraint = self.constraint
@@ -590,8 +571,6 @@ class CompiledConstraint:
         budget = _budget.active()
         if budget:  # full sweeps are the kernel's coarsest unit of work
             budget.checkpoint()
-        if _columnar.usable(relations) and _columnar.batch_program(self.full_plan):
-            return list(self._emit_batch(relations))  # type: ignore[arg-type]
         return list(self._emit(relations, self.full_plan))
 
     def seeded_violations(self, relations: Relations, fact: Fact) -> Iterator[Violation]:
@@ -735,13 +714,7 @@ class CompiledQuery:
         comparisons = self.comparisons
         negatives = self.negatives
         head_slots = self.head_slots
-        if _columnar.usable(instance) and _columnar.batch_program(self.plan):
-            matches = _columnar.iter_batch_matches(
-                self.plan, _columnar.store_for(instance), slots, rows
-            )
-        else:
-            matches = _codegen.matcher(self.plan)(instance, slots, rows)
-        for _ in matches:
+        for _ in _codegen.matcher(self.plan)(instance, slots, rows):
             ok = True
             for check in comparisons:
                 if not check(slots, null_is_unknown):

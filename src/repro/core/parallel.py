@@ -696,6 +696,15 @@ class ParallelRepairSearch:
 
         return self._exclusions
 
+    def active_budget(self) -> Optional[Budget]:
+        """The request budget the search answers to: the constructor's,
+        else the ambient one (``None`` when neither is set)."""
+
+        if self._request_budget is not None:
+            return self._request_budget
+        ambient = _budget.active()
+        return ambient if ambient else None
+
     def _instance_payload(self, audit: bool) -> "_InstancePayload":
         """The base-instance payload for the pool initializer.
 
@@ -756,10 +765,7 @@ class ParallelRepairSearch:
         budget), so retries cannot change the answer.
         """
 
-        budget = self._request_budget
-        if budget is None:
-            ambient = _budget.active()
-            budget = ambient if ambient else None
+        budget = self.active_budget()
         root = FrontierTask((), _EMPTY_FACTS, _EMPTY_FACTS)
         queue: deque[FrontierTask] = deque([root])
         open_tasks: Dict[Path, FrontierTask] = {root.path: root}
@@ -1182,6 +1188,12 @@ class AnytimeRepairStream:
     canonical discovery order (the order
     ``RepairEngine.repairs`` returns), and :attr:`states_at_first_yield`
     records how deep into the search the first proof landed.
+
+    The search's request budget (see
+    :meth:`ParallelRepairSearch.active_budget`) is also checked before
+    each candidate's proof: running out there raises the typed error,
+    or with ``degrade=True`` stops the stream with :attr:`degradation`
+    set, exactly as when the search itself runs out between tasks.
     """
 
     def __init__(self, search: ParallelRepairSearch, schema=None):
@@ -1215,12 +1227,24 @@ class AnytimeRepairStream:
     def __iter__(self) -> Iterator[DatabaseInstance]:
         pool: Dict[Tuple[FrozenSet[Fact], FrozenSet[Fact]], _StreamCandidate] = {}
         search_complete = False
+        budget = self._search.active_budget()
+        stopped: Optional[str] = None
 
         def provable(open_tasks: Sequence[FrontierTask]) -> Iterator[_StreamCandidate]:
+            nonlocal stopped
             candidates = list(pool.values())
             for entry in candidates:
                 if entry.yielded or entry.dominated:
                     continue
+                if budget is not None:
+                    # The proof pass is quadratic in the pool, so a large
+                    # batch can outlast the deadline on its own: check
+                    # the budget per candidate, not only between tasks.
+                    stopped = budget.exhausted()
+                    if stopped is not None:
+                        if not budget.degrade:
+                            raise budget.error(stopped)
+                        return
                 blocked = False
                 for other in candidates:
                     if other is entry:
@@ -1244,18 +1268,36 @@ class AnytimeRepairStream:
                     self.yields_before_completion += 1
                 yield entry
 
-        for batch in self._search.batches():
-            for path, inserted, deleted in batch.candidates:
-                key = (inserted, deleted)
-                entry = pool.get(key)
-                if entry is None:
-                    pool[key] = _StreamCandidate(
-                        path, inserted, deleted, inserted | deleted
+        batches = self._search.batches()
+        try:
+            for batch in batches:
+                for path, inserted, deleted in batch.candidates:
+                    key = (inserted, deleted)
+                    entry = pool.get(key)
+                    if entry is None:
+                        pool[key] = _StreamCandidate(
+                            path, inserted, deleted, inserted | deleted
+                        )
+                    elif path < entry.path:
+                        entry.path = path
+                for entry in provable(batch.open_tasks):
+                    yield self._instance_for(entry)
+                if stopped is not None:
+                    unproven = sum(
+                        not (entry.yielded or entry.dominated)
+                        for entry in pool.values()
                     )
-                elif path < entry.path:
-                    entry.path = path
-            for entry in provable(batch.open_tasks):
-                yield self._instance_for(entry)
+                    self.degradation = budget.degradation(
+                        proven=self.yields_before_completion,
+                        detail=(
+                            f"{len(batch.open_tasks)} frontier tasks unexplored, "
+                            f"{unproven} candidates unproven"
+                        ),
+                    )
+                    return
+        finally:
+            # Reap the pool now rather than when the generator is collected.
+            batches.close()
 
         if self._search.degradation is not None:
             # The search stopped early under a degrade-mode budget: every

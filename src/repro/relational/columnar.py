@@ -1,139 +1,51 @@
-"""Columnar execution backend: interned per-position arrays + batch joins.
+"""The process pool's wire format: an instance as interned columns.
 
-The row-at-a-time kernel (interpreted or code-generated) pays Python's
-per-row toll — one iterator step, one probe, one guard cascade per
-candidate tuple.  This module turns a :class:`~repro.relational.instance.
-DatabaseInstance` into a *columnar store*: every predicate becomes one
-``array('q')`` of interned value ids per position (the intern table maps
-each distinct domain constant to a small integer, with id ``0`` reserved
-as the null sentinel), plus lazy per-column hash indexes mapping value id
-→ row ids.  A whole :class:`~repro.compile.plans.JoinPlan` then executes
-column-at-a-time: filter each step's rows into a selection vector
-(constant/equality/null-guard masks over int columns), extend partial
-matches by probing the per-column indexes with ids read straight out of
-the source columns, and only materialise slots and original rows for the
-matches that survive.
+:class:`ColumnarStore` turns a :class:`~repro.relational.instance.
+DatabaseInstance` into interned per-position columns: every predicate
+becomes one ``array('q')`` of value ids per position (the intern table
+maps each distinct domain constant to a small integer, with id ``0``
+reserved as the null sentinel).  :func:`pack_instance` /
+:func:`unpack_instance` serialise those columns to one flat byte string
+that :mod:`repro.core.parallel` places in
+``multiprocessing.shared_memory``, so every distinct constant crosses
+the process boundary once; :class:`FactCodec` numbers the base facts in
+their deterministic ``facts()`` order so frontier tasks ship small
+integers instead of pickled :class:`~repro.relational.instance.Fact`
+objects.
 
-The store is derived state: :func:`store_for` keys it on the instance's
-``generation`` counter and rebuilds on change, so it is only engaged on
-*full* sweeps over a stable instance (constraint violation enumeration,
-query answering) — the repair search's seeded delta plans keep running
-row-at-a-time against the live, mutating instance.  Budgeted requests
-also stay on the row path (:func:`usable`): the row executor checkpoints
-per join descent, which is the cancellation granularity the resilience
-layer promises.
-
-The same interned columns are the parallel pool's wire format:
-:func:`pack_instance` / :func:`unpack_instance` serialise a store to one
-flat byte string (intern table + column arrays) that
-:mod:`repro.core.parallel` places in ``multiprocessing.shared_memory``,
-and :class:`FactCodec` numbers the base facts in their deterministic
-``facts()`` order so frontier tasks ship small integers instead of
-pickled :class:`~repro.relational.instance.Fact` objects.
-
-Fallback knobs mirror the code generator: ``REPRO_COLUMNAR=0``,
-:func:`overridden` (threaded from ``CQAConfig.columnar``), and
-:func:`set_enabled`.  The batch path is pinned bit-identical (as a set;
-enumeration order may differ from the nested-loop order) against the
-interpreter by the property suite, and lint rule INV006 keeps this
-module out of every reference path so the cross-validation is never
-circular.
+Lint rule INV006 keeps this module free of :mod:`repro.compile.codegen`.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
-import weakref
 from array import array
-from contextlib import contextmanager
 from typing import (
     Any,
     Dict,
     FrozenSet,
     Iterable,
-    Iterator,
     List,
-    Optional,
     Sequence,
     Tuple,
     Union,
 )
 
 from repro.obs import metrics as _metrics
-from repro.obs import trace as _trace
 from repro.relational.domain import NULL, Constant, constant_sort_key, is_null
 from repro.relational.instance import DatabaseInstance, Fact, Row
-from repro.resilience import budget as _budget
 
 #: Interned id of the null sentinel — every column encodes ``null`` as 0.
 NULL_ID = 0
 
 _PACK_MAGIC = "repro-columnar-pack-v1"
 
-_ENV_FLAG = "REPRO_COLUMNAR"
-_DEFAULT_ENABLED = True
-_FORCED: Optional[bool] = None
-
 _STORE_BUILDS = _metrics.counter(
-    "repro_columnar_store_builds_total", "columnar store (re)builds from an instance"
+    "repro_columnar_store_builds_total", "columnar store builds from an instance"
 )
 _STORE_ROWS = _metrics.counter(
     "repro_columnar_store_rows_total", "rows interned into columnar stores"
 )
-_BATCH_RUNS = _metrics.counter(
-    "repro_columnar_batch_runs_total", "join plans executed column-at-a-time"
-)
-
-
-def enabled() -> bool:
-    """Is columnar batch execution active for the current call?"""
-
-    if os.environ.get(_ENV_FLAG, "") == "0":
-        return False
-    if _FORCED is not None:
-        return _FORCED
-    return _DEFAULT_ENABLED
-
-
-def set_enabled(on: bool) -> None:
-    """Flip the process-wide default (``REPRO_COLUMNAR=0`` still wins)."""
-
-    global _DEFAULT_ENABLED
-    _DEFAULT_ENABLED = on
-
-
-@contextmanager
-def overridden(on: Optional[bool]) -> Iterator[None]:
-    """Scoped enable/disable override; ``None`` leaves the state alone."""
-
-    global _FORCED
-    if on is None:
-        yield
-        return
-    previous = _FORCED
-    _FORCED = on
-    try:
-        yield
-    finally:
-        _FORCED = previous
-
-
-def usable(relations: object) -> bool:
-    """Should a full-plan sweep over *relations* take the batch path?
-
-    Requires the real :class:`DatabaseInstance` (adapters like the
-    EXPLAIN ANALYZE row counter keep their row-at-a-time semantics), the
-    enable flag, and **no active budget** — the row executor checkpoints
-    per join descent, which is the cancellation granularity budgeted
-    requests are promised.
-    """
-
-    return (
-        type(relations) is DatabaseInstance
-        and enabled()
-        and not _budget.active()
-    )
 
 
 def _row_sort_key(row: Row) -> Tuple[Any, ...]:
@@ -144,13 +56,11 @@ class ColumnarRelation:
     """One predicate's rows as interned per-position columns.
 
     ``rows`` holds the original value tuples (shared with the source
-    instance) in deterministic sorted order — the batch evaluator
-    materialises matches from them without un-interning.  ``columns[p]``
-    is an ``array('q')`` of value ids; :meth:`index` builds the id → row
-    ids hash index for one position on first use.
+    instance) in deterministic sorted order; ``columns[p]`` is an
+    ``array('q')`` of value ids.
     """
 
-    __slots__ = ("predicate", "arity", "rows", "columns", "_indexes")
+    __slots__ = ("predicate", "arity", "rows", "columns")
 
     def __init__(
         self,
@@ -163,36 +73,19 @@ class ColumnarRelation:
         self.arity = arity
         self.rows = rows
         self.columns = columns
-        self._indexes: List[Optional[Dict[int, List[int]]]] = [None] * arity
-
-    def index(self, position: int) -> Dict[int, List[int]]:
-        """The hash index value-id → row ids for *position* (built lazily)."""
-
-        index = self._indexes[position]
-        if index is None:
-            index = {}
-            for row_id, value_id in enumerate(self.columns[position]):
-                index.setdefault(value_id, []).append(row_id)
-            self._indexes[position] = index
-        return index
 
 
 class ColumnarStore:
-    """A whole instance as interned columns, frozen at one generation."""
+    """A whole instance as interned columns."""
 
-    __slots__ = ("values", "ids", "relations", "generation", "_filters")
+    __slots__ = ("values", "ids", "relations")
 
-    def __init__(self, generation: int = 0) -> None:
+    def __init__(self) -> None:
         #: id → value; ``values[0]`` is the null sentinel.
         self.values: List[Constant] = [NULL]
         #: non-null value → id (null never appears as a key).
         self.ids: Dict[Constant, int] = {}
         self.relations: Dict[str, ColumnarRelation] = {}
-        self.generation = generation
-        #: Per-(program, step) selection vectors, keyed by program identity
-        #: — programs live on the process-wide compile memo's plans, the
-        #: store dies with its generation, so the cache cannot go stale.
-        self._filters: Dict[Tuple[int, int], "_StepFilter"] = {}
 
     def intern(self, value: Constant) -> int:
         """The id of *value*, interning it on first sight (null → 0)."""
@@ -206,18 +99,11 @@ class ColumnarStore:
             self.ids[value] = value_id
         return value_id
 
-    def lookup(self, value: Constant) -> Optional[int]:
-        """The id of *value* if it occurs in the store, else ``None``."""
-
-        if is_null(value):
-            return NULL_ID
-        return self.ids.get(value)
-
     @classmethod
     def from_instance(cls, instance: DatabaseInstance) -> "ColumnarStore":
         """Intern every relation of *instance* (deterministic row order)."""
 
-        store = cls(generation=instance.generation)
+        store = cls()
         n_rows = 0
         for predicate in instance.predicates:
             rows = sorted(instance.rows(predicate), key=_row_sort_key)
@@ -237,271 +123,6 @@ class ColumnarStore:
         return store
 
 
-#: Live stores keyed by instance identity; entries die with the instance.
-_STORES: Dict[int, ColumnarStore] = {}
-
-
-def _forget_store(key: int) -> None:
-    _STORES.pop(key, None)
-
-
-def store_for(instance: DatabaseInstance) -> ColumnarStore:
-    """The columnar store of *instance*, rebuilt when its generation moved."""
-
-    key = id(instance)
-    store = _STORES.get(key)
-    if store is not None and store.generation == instance.generation:
-        return store
-    with _trace.span("columnar.build") as sp:
-        fresh = ColumnarStore.from_instance(instance)
-        if sp:
-            sp.add(rows=len(instance), predicates=len(fresh.relations))
-    if store is None:
-        weakref.finalize(instance, _forget_store, key)
-    _STORES[key] = fresh
-    return fresh
-
-
-# ------------------------------------------------------------- batch programs
-
-
-class _BatchStep:
-    """One scheduled atom, rewritten for columnar execution.
-
-    ``const`` keeps the original constants (interned per store at run
-    time); ``bound`` resolves each probe position to the (step, position)
-    that first bound its slot, so probe ids come straight out of the
-    source column; ``eq`` and ``guard_positions`` are row-local checks
-    over the step's own columns.
-    """
-
-    __slots__ = ("predicate", "arity", "const", "bound", "eq", "guard_positions")
-
-    def __init__(
-        self,
-        predicate: str,
-        arity: int,
-        const: Tuple[Tuple[int, Constant], ...],
-        bound: Tuple[Tuple[int, int, int], ...],
-        eq: Tuple[Tuple[int, int], ...],
-        guard_positions: Tuple[int, ...],
-    ) -> None:
-        self.predicate = predicate
-        self.arity = arity
-        self.const = const
-        self.bound = bound
-        self.eq = eq
-        self.guard_positions = guard_positions
-
-
-class _BatchProgram:
-    """A full :class:`JoinPlan` lowered to columnar steps."""
-
-    __slots__ = ("steps", "slot_sources", "atom_indexes")
-
-    def __init__(
-        self,
-        steps: Tuple[_BatchStep, ...],
-        slot_sources: Tuple[Tuple[int, int, int], ...],
-        atom_indexes: Tuple[int, ...],
-    ) -> None:
-        self.steps = steps
-        #: (slot, step, position) for every variable slot the plan binds.
-        self.slot_sources = slot_sources
-        self.atom_indexes = atom_indexes
-
-
-class _StepFilter:
-    """One step's selection vector over its relation at one generation."""
-
-    __slots__ = ("mask", "candidates")
-
-    def __init__(self, mask: bytearray, candidates: List[int]) -> None:
-        self.mask = mask
-        self.candidates = candidates
-
-
-_PROGRAM_ATTR = "_columnar_program"
-_MISSING = object()
-
-
-def batch_program(plan: Any) -> Optional[_BatchProgram]:
-    """The columnar program for *plan*, or ``None`` if it cannot batch.
-
-    Only *full* plans batch: a seed matcher or a binding pattern means
-    the caller is running a delta/partial sweep against a live instance,
-    which stays row-at-a-time.  The program is cached on the plan object
-    (which lives in the process-wide compile memo).
-    """
-
-    cached = plan.__dict__.get(_PROGRAM_ATTR, _MISSING)
-    if cached is not _MISSING:
-        return cached  # type: ignore[no-any-return]
-    program = _compile_batch(plan)
-    object.__setattr__(plan, _PROGRAM_ATTR, program)
-    return program
-
-
-def _compile_batch(plan: Any) -> Optional[_BatchProgram]:
-    if plan.seed is not None or plan.initial:
-        return None
-    slot_source: Dict[int, Tuple[int, int]] = {}
-    steps: List[_BatchStep] = []
-    for step_index, step in enumerate(plan.steps):
-        bound: List[Tuple[int, int, int]] = []
-        for position, slot in step.bound:
-            source = slot_source.get(slot)
-            if source is None:  # unreachable for kernel-built plans
-                return None
-            bound.append((position, source[0], source[1]))
-        guarded = set(step.guard)
-        guard_positions = tuple(
-            position for position, slot in step.writes if slot in guarded
-        )
-        for position, slot in step.writes:
-            if slot not in slot_source:
-                slot_source[slot] = (step_index, position)
-        steps.append(
-            _BatchStep(
-                step.predicate,
-                step.arity,
-                step.const,
-                tuple(bound),
-                step.eq,
-                guard_positions,
-            )
-        )
-    slot_sources = tuple(
-        (slot, source[0], source[1]) for slot, source in slot_source.items()
-    )
-    atom_indexes = tuple(step.atom_index for step in plan.steps)
-    return _BatchProgram(tuple(steps), slot_sources, atom_indexes)
-
-
-def _step_filter(
-    store: ColumnarStore, program: _BatchProgram, step_index: int, rel: ColumnarRelation
-) -> _StepFilter:
-    """The cached selection vector of one step over one store."""
-
-    key = (id(program), step_index)
-    cached = store._filters.get(key)
-    if cached is not None:
-        return cached
-    step = program.steps[step_index]
-    n = len(rel.rows)
-    mask = bytearray([1]) * n
-    for position, value in step.const:
-        value_id = store.lookup(value)
-        if value_id is None:
-            mask = bytearray(n)
-            break
-        column = rel.columns[position]
-        for row_id in range(n):
-            if column[row_id] != value_id:
-                mask[row_id] = 0
-    else:
-        for position, first in step.eq:
-            column, other = rel.columns[position], rel.columns[first]
-            for row_id in range(n):
-                if column[row_id] != other[row_id]:
-                    mask[row_id] = 0
-        for position in step.guard_positions:
-            column = rel.columns[position]
-            for row_id in range(n):
-                if column[row_id] == NULL_ID:
-                    mask[row_id] = 0
-    candidates = [row_id for row_id in range(n) if mask[row_id]]
-    filt = _StepFilter(mask, candidates)
-    store._filters[key] = filt
-    return filt
-
-
-def iter_batch_matches(
-    plan: Any,
-    store: ColumnarStore,
-    slots: List[Constant],
-    rows: List[Optional[Row]],
-) -> Iterator[None]:
-    """Enumerate the matches of a full *plan* column-at-a-time.
-
-    Same caller contract as :func:`repro.compile.plans.iter_plan_matches`
-    (write into caller-owned ``slots``/``rows``, yield once per match),
-    but the *enumeration order* follows the columnar row order, not the
-    nested-loop order — consumers of full sweeps are order-insensitive.
-    Requires ``batch_program(plan)`` to be non-``None``.
-    """
-
-    program = batch_program(plan)
-    assert program is not None, "iter_batch_matches requires a full plan"
-    steps = program.steps
-    count = len(steps)
-    if count == 0:
-        yield
-        return
-    _BATCH_RUNS.inc()
-    budget = _budget.active()
-    rels: List[ColumnarRelation] = []
-    for step in steps:
-        rel = store.relations.get(step.predicate)
-        if rel is None or not rel.rows or rel.arity != step.arity:
-            return
-        rels.append(rel)
-
-    current: List[Tuple[int, ...]] = [
-        (row_id,) for row_id in _step_filter(store, program, 0, rels[0]).candidates
-    ]
-    for step_index in range(1, count):
-        if not current:
-            return
-        if budget:
-            budget.checkpoint()
-        step = steps[step_index]
-        rel = rels[step_index]
-        mask = _step_filter(store, program, step_index, rel).mask
-        extended: List[Tuple[int, ...]] = []
-        append = extended.append
-        if step.bound:
-            position, src_step, src_pos = step.bound[0]
-            index = rel.index(position)
-            src_col = rels[src_step].columns[src_pos]
-            rest = step.bound[1:]
-            if rest:
-                columns = rel.columns
-                for match in current:
-                    bucket = index.get(src_col[match[src_step]])
-                    if not bucket:
-                        continue
-                    for row_id in bucket:
-                        if mask[row_id] and all(
-                            columns[p][row_id] == rels[s].columns[q][match[s]]
-                            for p, s, q in rest
-                        ):
-                            append(match + (row_id,))
-            else:
-                for match in current:
-                    bucket = index.get(src_col[match[src_step]])
-                    if bucket:
-                        for row_id in bucket:
-                            if mask[row_id]:
-                                append(match + (row_id,))
-        else:
-            candidates = _step_filter(store, program, step_index, rel).candidates
-            for match in current:
-                for row_id in candidates:
-                    append(match + (row_id,))
-        current = extended
-
-    all_rows = [rel.rows for rel in rels]
-    atom_indexes = program.atom_indexes
-    slot_sources = program.slot_sources
-    for match in current:
-        for step_index in range(count):
-            rows[atom_indexes[step_index]] = all_rows[step_index][match[step_index]]
-        for slot, src_step, src_pos in slot_sources:
-            slots[slot] = all_rows[src_step][match[src_step]][src_pos]
-        yield
-
-
 # --------------------------------------------------------- pack / ship / codec
 
 
@@ -514,7 +135,7 @@ def pack_instance(instance: DatabaseInstance) -> bytes:
     every distinct constant is written once.
     """
 
-    store = store_for(instance)
+    store = ColumnarStore.from_instance(instance)
     relations = tuple(
         (
             predicate,

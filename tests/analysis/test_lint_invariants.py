@@ -148,6 +148,40 @@ class TestINV005NoPrint:
         assert rules_for("tests/test_x.py", "print('hi')\n") == []
 
 
+class TestINV007EnvironmentSwitchOwners:
+    def test_environ_read_in_library_code_is_flagged(self):
+        for source in (
+            "import os\nflag = os.environ.get('REPRO_X')\n",
+            "import os\nflag = os.environ['REPRO_X']\n",
+            "import os\nflag = os.getenv('REPRO_X')\n",
+            "from os import environ\n",
+            "from os import getenv\n",
+        ):
+            assert rules_for("src/repro/compile/codegen.py", source) == ["INV007"]
+
+    def test_the_switch_owners_may_read_the_environment(self):
+        source = "import os\nflag = os.environ.get('REPRO_X')\n"
+        for owner in (
+            "src/repro/obs/trace.py",
+            "src/repro/resilience/faults.py",
+            "src/repro/core/parallel.py",
+        ):
+            assert rules_for(owner, source) == []
+
+    def test_tests_and_tools_may_read_the_environment(self):
+        source = "import os\nflag = os.environ.get('REPRO_X')\n"
+        assert rules_for("tests/test_x.py", source) == []
+        assert rules_for("tools/x.py", source) == []
+
+    def test_other_os_attributes_stay_allowed(self):
+        source = "import os\npath = os.path.join('a', 'b')\n"
+        assert rules_for("src/repro/core/x.py", source) == []
+
+    def test_pragma_opts_a_line_out(self):
+        source = "import os\nflag = os.getenv('X')  # lint: allow(INV007) reason\n"
+        assert rules_for("src/repro/core/x.py", source) == []
+
+
 class TestPragma:
     def test_allow_pragma_suppresses_on_the_flagged_line(self):
         source = "import time\nt = time.perf_counter()  # lint: allow(INV001) calibration\n"
@@ -171,5 +205,7 @@ class TestRepository:
     def test_cli_list_rules(self, capsys):
         assert lint.main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule in ("INV001", "INV002", "INV003", "INV004", "INV005", "INV006"):
+        for rule in (
+            "INV001", "INV002", "INV003", "INV004", "INV005", "INV006", "INV007"
+        ):
             assert rule in out

@@ -38,12 +38,6 @@ def _run(plan, executor, instance, seed_row=None):
 
 
 class TestEnableGates:
-    def test_env_flag_wins_over_everything(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CODEGEN", "0")
-        assert not codegen.enabled()
-        with codegen.overridden(True):
-            assert not codegen.enabled()
-
     def test_overridden_is_scoped_and_restores(self):
         assert codegen.enabled()
         with codegen.overridden(False):
@@ -56,16 +50,6 @@ class TestEnableGates:
     def test_overridden_none_is_a_no_op(self):
         with codegen.overridden(None):
             assert codegen.enabled()
-
-    def test_set_enabled_flips_the_default(self):
-        try:
-            codegen.set_enabled(False)
-            assert not codegen.enabled()
-            with codegen.overridden(True):
-                assert codegen.enabled()
-        finally:
-            codegen.set_enabled(True)
-        assert codegen.enabled()
 
 
 class TestMatcherCaching:
@@ -143,6 +127,13 @@ class TestExecutorEquivalence:
                     seed_row=fact.values,
                 )
                 assert generated == interpreted
+
+    def test_missing_relation_yields_nothing(self):
+        plan = compiled_constraint(parse_constraint(FD)).full_plan
+        empty = DatabaseInstance.from_dict({"Dept": [("sales",)]})
+        assert _run(plan, codegen.matcher(plan), empty) == []
+        with codegen.overridden(False):
+            assert _run(plan, codegen.matcher(plan), empty) == []
 
     def test_seed_row_of_wrong_arity_yields_nothing(self):
         unit = compiled_constraint(parse_constraint(FD))

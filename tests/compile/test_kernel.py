@@ -211,3 +211,72 @@ class TestCompiledQueryEdgeCases:
             {"KernelSched": [("a", "b")], "KernelSchedB": [("b", "c")]}
         )
         assert query.answers(instance, compiled=False) == query.answers(instance)
+
+
+class TestFullSweepsNeedNoColumnStore:
+    """Unbudgeted full sweeps and query answers run on generated code alone.
+
+    The column store is only the process pool's wire format, so a build
+    failure must not reach an inline sweep, a query or a direct report.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _store_build_raises(self, monkeypatch):
+        from repro.relational.columnar import ColumnarStore
+
+        def refuse(cls, instance):
+            raise AssertionError("a full sweep built a column store")
+
+        monkeypatch.setattr(ColumnarStore, "from_instance", classmethod(refuse))
+
+    @staticmethod
+    def _instance():
+        return DatabaseInstance.from_dict(
+            {
+                "SweepEmp": [("a", "sales"), ("a", "hr"), ("b", "sales"), ("c", NULL)],
+                "SweepDept": [("sales",), ("ops",)],
+            }
+        )
+
+    @staticmethod
+    def _constraints():
+        from repro.constraints.ic import ConstraintSet
+
+        return ConstraintSet(
+            [
+                parse_constraint("SweepEmp(e, d), SweepEmp(e, f) -> d = f"),
+                parse_constraint("SweepEmp(e, d) -> SweepDept(d)"),
+            ]
+        )
+
+    def test_all_violations(self):
+        from repro.core.satisfaction import all_violations
+
+        instance, constraints = self._instance(), self._constraints()
+        found = all_violations(instance, constraints)
+        assert set(found) == set(all_violations(instance, constraints, naive=True))
+        assert sorted(
+            tuple(fact.values for fact in violation.body_facts) for violation in found
+        ) == [
+            (("a", "hr"),),
+            (("a", "hr"), ("a", "sales")),
+            (("a", "sales"), ("a", "hr")),
+        ]
+
+    def test_query_answers(self):
+        instance = self._instance()
+        query = parse_query("ans(e, d) <- SweepEmp(e, d), SweepDept(d)")
+        for null_is_unknown in (False, True):
+            answers = query.answers(instance, null_is_unknown=null_is_unknown)
+            assert answers == {("a", "sales"), ("b", "sales")}
+            assert answers == query.answers(
+                instance, null_is_unknown=null_is_unknown, naive=True
+            )
+
+    def test_direct_report(self):
+        from repro.session import ConsistentDatabase
+
+        db = ConsistentDatabase(self._instance(), self._constraints())
+        result = db.report(parse_query("ans(e) <- SweepEmp(e, d)"), method="direct")
+        assert result.answers == {("a",), ("b",), ("c",)}
+        assert result.repair_count == 2

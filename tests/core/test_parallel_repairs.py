@@ -29,8 +29,10 @@ from repro.core.repairs import (
     RepairStatistics,
 )
 from repro.engines import CQAConfig
+from repro.errors import QueryCancelledError
 from repro.relational.domain import NULL
 from repro.relational.instance import DatabaseInstance, Fact
+from repro.resilience import Budget, using_budget
 from repro.session import ConsistentDatabase
 from repro.workloads import (
     foreign_key_workload,
@@ -263,6 +265,48 @@ class TestAnytimeStream:
         streamed = list(stream)
         assert stream.ordered_repairs == reference
         assert len(streamed) == len(reference)
+
+    @staticmethod
+    def _one_batch_stream(budget):
+        """256 repairs, all discovered by a single task (one batch)."""
+
+        instance = DatabaseInstance.from_dict(
+            {"Emp": [(f"e{i}", d) for i in range(8) for d in ("a", "b")]}
+        )
+        constraints = [parse_constraint("Emp(e, d), Emp(e, f) -> d = f")]
+        search = ParallelRepairSearch(instance, constraints, budget=budget)
+        return AnytimeRepairStream(search, schema=instance.schema)
+
+    def test_active_budget_prefers_the_constructor_budget(self):
+        instance = DatabaseInstance.from_dict({"Emp": [("e1", "a")]})
+        constraints = [parse_constraint("Emp(e, d), Emp(e, f) -> d = f")]
+        own, ambient = Budget(), Budget()
+        assert ParallelRepairSearch(instance, constraints).active_budget() is None
+        with using_budget(ambient):
+            unbudgeted = ParallelRepairSearch(instance, constraints)
+            assert unbudgeted.active_budget() is ambient
+            budgeted = ParallelRepairSearch(instance, constraints, budget=own)
+            assert budgeted.active_budget() is own
+
+    def test_budget_checked_within_a_batch_degrades(self):
+        budget = Budget(degrade=True)
+        stream = self._one_batch_stream(budget)
+        streamed = []
+        for repair in stream:
+            streamed.append(repair)
+            budget.cancel()
+        assert len(streamed) == 1
+        assert stream.ordered_repairs is None
+        assert stream.degradation.reason == "cancelled"
+        assert stream.degradation.proven == 1
+
+    def test_budget_checked_within_a_batch_strict(self):
+        budget = Budget()
+        iterator = iter(self._one_batch_stream(budget))
+        next(iterator)
+        budget.cancel()
+        with pytest.raises(QueryCancelledError):
+            next(iterator)
 
     def test_frontier_domination_certificate(self):
         fact = Fact("R", ("a", "b"))

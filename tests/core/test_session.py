@@ -345,6 +345,15 @@ class TestConfigObject:
         assert config.method == "auto"
         assert merged.method == "direct"
 
+    @pytest.mark.parametrize("knob", ["codegen", "columnar"])
+    def test_executor_knobs_are_gone(self, knob):
+        # Full sweeps have one production executor; neither the config
+        # nor the session accepts a switch to pick another.
+        with pytest.raises(TypeError):
+            CQAConfig().merged({knob: False})
+        with pytest.raises(TypeError):
+            make_session(**{knob: False})
+
 
 class TestFunctionalWrappers:
     def test_report_plan_is_typed(self):

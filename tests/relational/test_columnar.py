@@ -1,16 +1,10 @@
-"""repro.relational.columnar: store sync, batching, pack/unpack, FactCodec."""
+"""repro.relational.columnar: the store build, pack/unpack, FactCodec."""
 
 import pytest
 
-from repro.compile.kernel import compiled_constraint, compiled_query
-from repro.constraints.parser import parse_constraint, parse_query
 from repro.relational import columnar
 from repro.relational.domain import NULL
 from repro.relational.instance import DatabaseInstance, Fact
-from repro.resilience.budget import Budget, using_budget
-
-
-FD = "Emp(e, d, s), Emp(e, f, t) -> d = f"
 
 
 def _instance():
@@ -27,45 +21,16 @@ def _instance():
     )
 
 
-class TestEnableGates:
-    def test_env_flag_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COLUMNAR", "0")
-        assert not columnar.enabled()
-        with columnar.overridden(True):
-            assert not columnar.enabled()
-
-    def test_overridden_is_scoped(self):
-        assert columnar.enabled()
-        with columnar.overridden(False):
-            assert not columnar.enabled()
-        assert columnar.enabled()
-
-    def test_usable_requires_a_real_instance(self):
-        assert columnar.usable(_instance())
-        assert not columnar.usable({"Emp": []})
-        assert not columnar.usable(object())
-
-    def test_usable_stays_off_under_a_budget(self):
-        instance = _instance()
-        assert columnar.usable(instance)
-        with using_budget(Budget(max_states=10_000)):
-            assert not columnar.usable(instance)
-
-    def test_usable_respects_the_enable_flag(self):
-        with columnar.overridden(False):
-            assert not columnar.usable(_instance())
-
-
 class TestStore:
     def test_null_interns_to_the_sentinel_id(self):
-        store = columnar.store_for(_instance())
+        store = columnar.ColumnarStore.from_instance(_instance())
         assert store.values[columnar.NULL_ID] is NULL
-        assert store.lookup(NULL) == columnar.NULL_ID
+        assert store.intern(NULL) == columnar.NULL_ID
         assert NULL not in store.ids
 
     def test_columns_round_trip_the_rows(self):
         instance = _instance()
-        store = columnar.store_for(instance)
+        store = columnar.ColumnarStore.from_instance(instance)
         rel = store.relations["Emp"]
         assert rel.arity == 3
         decoded = {
@@ -74,72 +39,6 @@ class TestStore:
         }
         assert decoded == set(instance.rows("Emp"))
         assert decoded == set(rel.rows)
-
-    def test_store_is_cached_per_generation(self):
-        instance = _instance()
-        first = columnar.store_for(instance)
-        assert columnar.store_for(instance) is first
-        instance.add(Fact("Dept", ("ops",)))
-        rebuilt = columnar.store_for(instance)
-        assert rebuilt is not first
-        assert rebuilt.generation == instance.generation
-        assert ("ops",) in set(rebuilt.relations["Dept"].rows)
-
-    def test_index_maps_value_ids_to_row_ids(self):
-        store = columnar.store_for(_instance())
-        rel = store.relations["Emp"]
-        index = rel.index(1)  # the department column
-        sales_id = store.lookup("sales")
-        assert sales_id is not None
-        assert [rel.rows[r][1] for r in index[sales_id]] == ["sales", "sales"]
-        nulls = index.get(columnar.NULL_ID, [])
-        assert [rel.rows[r][1] for r in nulls] == [NULL]
-
-
-class TestBatchPrograms:
-    def test_full_plans_batch(self):
-        plan = compiled_constraint(parse_constraint(FD)).full_plan
-        program = columnar.batch_program(plan)
-        assert program is not None
-        assert columnar.batch_program(plan) is program  # cached on the plan
-
-    def test_seeded_plans_do_not_batch(self):
-        unit = compiled_constraint(parse_constraint(FD))
-        for seed_plan in unit.seed_plans.values():
-            assert columnar.batch_program(seed_plan) is None
-
-    def test_batch_matches_equal_the_row_path(self):
-        plan = compiled_query(
-            parse_query("ans(e) <- Emp(e, d, s), Emp(e, f, t), d != f")
-        ).plan
-        instance = _instance()
-        store = columnar.store_for(instance)
-        from repro.compile.plans import iter_plan_matches
-
-        def collect(iterator_factory):
-            slots = [None] * plan.n_slots
-            rows = [None] * plan.n_atoms
-            return {
-                (tuple(slots), tuple(rows))
-                for _ in iterator_factory(slots, rows)
-            }
-
-        batch = collect(
-            lambda slots, rows: columnar.iter_batch_matches(plan, store, slots, rows)
-        )
-        interpreted = collect(
-            lambda slots, rows: iter_plan_matches(plan, instance, slots, rows)
-        )
-        assert batch == interpreted
-        assert batch  # employee "a" joins with itself across departments
-
-    def test_missing_relation_yields_nothing(self):
-        plan = compiled_constraint(parse_constraint(FD)).full_plan
-        empty = DatabaseInstance.from_dict({"Dept": [("sales",)]})
-        store = columnar.store_for(empty)
-        slots = [None] * plan.n_slots
-        rows = [None] * plan.n_atoms
-        assert list(columnar.iter_batch_matches(plan, store, slots, rows)) == []
 
 
 class TestPack:

@@ -29,6 +29,11 @@ INV006    codegen-free interpreters: the reference modules *and* the plan
           never import ``repro.compile.codegen`` — the interpreter is the
           oracle the generated executors are cross-validated against, so
           the dependency must only ever point codegen → interpreter
+INV007    environment-switch ownership: no ``os.environ`` / ``os.getenv``
+          under ``src/repro`` outside the modules that own the remaining
+          switches (``obs/trace.py``, ``resilience/faults.py``,
+          ``core/parallel.py``) — a new environment knob cannot land
+          silently
 ========  ====================================================================
 
 A line may opt out with the pragma comment ``lint: allow(INVxxx)`` and a
@@ -54,6 +59,7 @@ RULES: Dict[str, str] = {
     "INV004": "reference (kernel-free) module imports repro.compile",
     "INV005": "print() in library code under src/repro",
     "INV006": "codegen-free module imports repro.compile.codegen",
+    "INV007": "os.environ/os.getenv under src/repro outside the switch owners",
 }
 
 CLOCK_OWNER = "src/repro/obs/clock.py"
@@ -96,6 +102,16 @@ CODEGEN_FREE_MODULES = REFERENCE_MODULES | frozenset(
         "src/repro/relational/columnar.py",
     }
 )
+#: The modules that own the library's environment switches:
+#: ``REPRO_TRACE``, ``REPRO_CHAOS`` and ``REPRO_SHM``/``REPRO_SHIP_AUDIT``.
+ENV_OWNERS = frozenset(
+    {
+        "src/repro/obs/trace.py",
+        "src/repro/resilience/faults.py",
+        "src/repro/core/parallel.py",
+    }
+)
+ENV_NAMES = frozenset({"environ", "environb", "getenv"})
 #: CLI front ends whose job is to print.
 PRINT_ALLOWED = frozenset(
     {
@@ -309,6 +325,29 @@ def check_source(rel_path: str, source: str) -> List[Violation]:
                         "the interpreter is the oracle the generated "
                         "executors are validated against — the dependency "
                         "must only point codegen → interpreter",
+                    )
+                )
+
+        # INV007 — environment-switch ownership
+        if in_library and rel_path not in ENV_OWNERS and not allowed(node, "INV007"):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in ENV_NAMES
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "os"
+            ) or (
+                isinstance(node, ast.ImportFrom)
+                and node.module == "os"
+                and any(alias.name in ENV_NAMES for alias in node.names)
+            ):
+                violations.append(
+                    Violation(
+                        "INV007",
+                        rel_path,
+                        node.lineno,
+                        "environment read outside the switch owners; a new "
+                        "environment knob needs a deliberate owner (add the "
+                        "module to ENV_OWNERS)",
                     )
                 )
 
