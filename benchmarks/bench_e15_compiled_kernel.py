@@ -1,4 +1,4 @@
-"""E15 — the compiled constraint/query kernel vs the interpreted paths.
+"""E15 — the compiled constraint/query kernel vs the naive reference.
 
 Before the compile layer, every violation sweep re-derived its join
 schedule per call, copied a ``dict`` per candidate row and re-resolved
@@ -11,16 +11,14 @@ and null guards) — the executor every consumer runs.
 
 This experiment sweeps the grouped-key workload (the E11/E12 scaling
 instance: ``n_groups`` key-conflict groups over two FDs) and times the
-violation-enumeration hot path four ways:
+violation-enumeration hot path three ways:
 
 * **full kernel** — ``all_violations(instance, constraints)`` (the
   default: compiled plans run by generated executors);
 * **plan interp** — ``codegen.overridden(False)``: the step
   interpreter over compiled plans (the pre-codegen default);
-* **interpreted** — ``all_violations(..., compiled=False)`` (dynamic
-  per-call scheduling, no compiled plans);
-* **naive** — ``all_violations(..., naive=True)`` (the seed reference:
-  unindexed nested loops).
+* **naive** — ``all_violations(..., naive=True)`` (the reference
+  oracle: unindexed nested loops that never touch the kernel).
 
 A second table does the same for conjunctive-query answering
 (``ConjunctiveQuery.answers``), a third replays the repair search to
@@ -29,14 +27,14 @@ pin the end-to-end contract, and a fourth replays the mixed
 random scenarios — small, adversarial, null-heavy) across every
 backend.
 
-**Identity assertions always run** (smoke mode included): all four
+**Identity assertions always run** (smoke mode included): all three
 violation paths return the same violation sets at every sweep point,
 all query paths the same answer sets, and the repair engine built on
 the kernel (``incremental``, the frontier search) returns repair lists
 bit-for-bit identical — order included — to ``naive``, which never
 touches the kernel.  Acceptance gates, full sweep only, at the sweep's
-largest point: the full kernel is ≥ 10× faster than **naive** and ≥ 3× faster
-than **interpreted** (the ``--smoke`` CI pass keeps the assertions but
+largest point: the full kernel is ≥ 10× faster than **naive** (the
+``--smoke`` CI pass keeps the assertions but
 skips in-test wall-clock gates — the CI gate instead reads the emitted
 JSON headline through ``python -m benchmarks.report --check-gates``,
 which is why the smoke sweep point is sized so its ratio clears the
@@ -62,7 +60,6 @@ from harness import best_of, corpus_workload, emit_json, print_table
 FULL_SWEEP = [10, 25, 60, 100]
 SMOKE_SWEEP = [25]
 
-GATE_MIN_SPEEDUP = 3.0  # interpreted → full kernel
 GATE_MIN_NAIVE_SPEEDUP = 10.0  # naive → full kernel (the JSON headline gate)
 
 QUERY_TEXTS = [
@@ -90,7 +87,6 @@ def report(request):
 
     # ------------------------------------------------------------- violations
     rows = []
-    gate_speedup = None
     gate_naive_speedup = None
     for n_groups in sweep:
         instance, constraints = _workload(n_groups)
@@ -102,49 +98,31 @@ def report(request):
             with codegen.overridden(False):
                 return all_violations(instance, constraints)
 
-        def _sweep_interp():
-            return all_violations(instance, constraints, compiled=False)
-
         def _sweep_naive():
             return all_violations(instance, constraints, naive=True)
 
         full = _sweep_full()
         # The hard guarantee, asserted in smoke mode too: identical
         # violation sets (and no duplicates) on every backend.
-        assert (
-            set(full)
-            == set(_sweep_plan())
-            == set(_sweep_interp())
-            == set(_sweep_naive())
-        )
+        assert set(full) == set(_sweep_plan()) == set(_sweep_naive())
         assert len(full) == len(set(full))
 
         t_full = _best_of(_sweep_full, 12)
         t_plan = _best_of(_sweep_plan, 12)
-        t_interp = _best_of(_sweep_interp, 6)
         t_naive = _best_of(_sweep_naive, 2)
-        speedup = t_interp / t_full if t_full else float("inf")
         naive_speedup = t_naive / t_full if t_full else float("inf")
-        gate_speedup = speedup  # the sweep is ascending: last point gates
-        gate_naive_speedup = naive_speedup
+        gate_naive_speedup = naive_speedup  # the sweep is ascending: last point gates
         rows.append(
             [
                 n_groups,
                 len(full),
                 f"{t_naive * 1000:.1f} ms",
-                f"{t_interp * 1000:.1f} ms",
                 f"{t_plan * 1000:.2f} ms",
                 f"{t_full * 1000:.2f} ms",
-                f"{speedup:.1f}x",
                 f"{naive_speedup:.1f}x",
             ]
         )
     if not smoke:
-        assert gate_speedup is not None and gate_speedup >= GATE_MIN_SPEEDUP, (
-            f"full kernel only {gate_speedup:.1f}x faster than the "
-            f"interpreted violation enumeration at the largest sweep point "
-            f"(need ≥ {GATE_MIN_SPEEDUP}x)"
-        )
         assert (
             gate_naive_speedup is not None
             and gate_naive_speedup >= GATE_MIN_NAIVE_SPEEDUP
@@ -153,15 +131,13 @@ def report(request):
             f"naive violation enumeration at the largest sweep point "
             f"(need ≥ {GATE_MIN_NAIVE_SPEEDUP}x)"
         )
-    title = "E15: compiled kernel vs interpreted violation enumeration"
+    title = "E15: compiled kernel vs naive violation enumeration"
     headers = [
         "key groups",
         "violations",
         "naive",
-        "interpreted",
         "plan interp",
         "full kernel",
-        "interp/kernel",
         "naive/kernel",
     ]
     print_table(title, headers, rows)
@@ -173,24 +149,23 @@ def report(request):
     query_rows = []
     for query in queries:
         compiled_answers = query.answers(instance)
-        assert compiled_answers == query.answers(instance, compiled=False)
         assert compiled_answers == query.answers(instance, naive=True)
         with codegen.overridden(False):
             assert compiled_answers == query.answers(instance)
         t_compiled = _best_of(lambda: query.answers(instance), 12)
-        t_interp = _best_of(lambda: query.answers(instance, compiled=False), 6)
+        t_naive = _best_of(lambda: query.answers(instance, naive=True), 2)
         query_rows.append(
             [
                 repr(query),
                 len(compiled_answers),
-                f"{t_interp * 1000:.2f} ms",
+                f"{t_naive * 1000:.2f} ms",
                 f"{t_compiled * 1000:.2f} ms",
-                f"{(t_interp / t_compiled if t_compiled else float('inf')):.1f}x",
+                f"{(t_naive / t_compiled if t_compiled else float('inf')):.1f}x",
             ]
         )
     print_table(
-        "E15b: compiled vs interpreted conjunctive-query answering",
-        ["query", "answers", "interpreted", "compiled", "speedup"],
+        "E15b: compiled vs naive conjunctive-query answering",
+        ["query", "answers", "naive", "compiled", "speedup"],
         query_rows,
     )
 
@@ -219,9 +194,6 @@ def report(request):
     for case in corpus_workload():
         case_violations = all_violations(case.instance, case.constraints)
         assert set(case_violations) == set(
-            all_violations(case.instance, case.constraints, compiled=False)
-        )
-        assert set(case_violations) == set(
             all_violations(case.instance, case.constraints, naive=True)
         )
         with codegen.overridden(False):
@@ -229,7 +201,7 @@ def report(request):
                 all_violations(case.instance, case.constraints)
             )
         case_answers = case.query.answers(case.instance)
-        assert case_answers == case.query.answers(case.instance, compiled=False)
+        assert case_answers == case.query.answers(case.instance, naive=True)
         with codegen.overridden(False):
             assert case_answers == case.query.answers(case.instance)
         corpus_rows.append(
@@ -268,13 +240,6 @@ def bench_compiled_violation_enumeration(benchmark):
     instance, constraints = _workload(25)
     all_violations(instance, constraints)  # compile + warm indexes
     result = benchmark(all_violations, instance, constraints)
-    assert result
-
-
-def bench_interpreted_violation_enumeration(benchmark):
-    instance, constraints = _workload(25)
-    all_violations(instance, constraints, compiled=False)
-    result = benchmark(lambda: all_violations(instance, constraints, compiled=False))
     assert result
 
 

@@ -13,9 +13,9 @@ queries: each rule's positive body is lowered once
 (:func:`repro.compile.kernel.compiled_body`) and executed against a
 :class:`repro.compile.kernel.GroundAtomRelations` view of the current
 possible-atom set — slot-based matching instead of one dictionary copy
-per candidate atom.  ``compiled=False`` on :func:`possible_atoms` /
-:func:`ground_program` keeps the original per-atom interpreted matching
-as the cross-validation reference.
+per candidate atom.  ``naive=True`` on :func:`possible_atoms` /
+:func:`ground_program` keeps the original per-atom nested-loop matching
+as grounding's kernel-free reference oracle.
 """
 
 from __future__ import annotations
@@ -115,10 +115,10 @@ def _comparisons_hold(comparisons: Sequence[Comparison], assignment: Assignment)
     return True
 
 
-def _body_instantiations_interpreted(
+def _body_instantiations_naive(
     rule: Rule, available: Mapping[Tuple[str, int], Set[Atom]]
 ) -> Iterator[Assignment]:
-    """Reference path: per-atom interpreted matching with dict copies."""
+    """Reference path: per-atom nested-loop matching with dict copies."""
 
     def extend(index: int, assignment: Assignment) -> Iterator[Assignment]:
         if index == len(rule.positive):
@@ -139,20 +139,20 @@ def _body_instantiations(
     rule: Rule,
     available: Mapping[Tuple[str, int], Set[Atom]],
     relations: Optional[object] = None,
-    compiled: bool = True,
+    naive: bool = False,
 ) -> Iterator[Assignment]:
     """All assignments matching the positive body against *available* atoms.
 
     The default executes the rule body's compiled join plan against the
     (caller-provided, reused across rules) *relations* view of the
-    possible-atom sets; ``compiled=False`` keeps the interpreted
+    possible-atom sets; ``naive=True`` keeps the nested-loop
     reference.  Both check the rule's built-in comparisons here, with
     the grounder's semantics (unevaluable ⇒ the instantiation is
     dropped).
     """
 
-    if not compiled:
-        yield from _body_instantiations_interpreted(rule, available)
+    if naive:
+        yield from _body_instantiations_naive(rule, available)
         return
     from repro.compile.kernel import GroundAtomRelations, compiled_body
 
@@ -164,7 +164,7 @@ def _body_instantiations(
             yield assignment
 
 
-def possible_atoms(program: Program, compiled: bool = True) -> FrozenSet[Atom]:
+def possible_atoms(program: Program, naive: bool = False) -> FrozenSet[Atom]:
     """Fixpoint over-approximation of the atoms derivable by the program."""
 
     from repro.compile.kernel import GroundAtomRelations
@@ -174,12 +174,12 @@ def possible_atoms(program: Program, compiled: bool = True) -> FrozenSet[Atom]:
     while changed:
         changed = False
         grouped = _atoms_by_predicate(possible)
-        relations = GroundAtomRelations(grouped) if compiled else None
+        relations = None if naive else GroundAtomRelations(grouped)
         for rule in program.rules:
             if not rule.head:
                 continue
             for assignment in _body_instantiations(
-                rule, grouped, relations=relations, compiled=compiled
+                rule, grouped, relations=relations, naive=naive
             ):
                 for head_atom in rule.head:
                     ground_head = head_atom.substitute(assignment)
@@ -193,21 +193,21 @@ def possible_atoms(program: Program, compiled: bool = True) -> FrozenSet[Atom]:
     return frozenset(possible)
 
 
-def ground_program(program: Program, compiled: bool = True) -> GroundProgram:
+def ground_program(program: Program, naive: bool = False) -> GroundProgram:
     """Ground *program* over its possible atoms."""
 
     from repro.compile.kernel import GroundAtomRelations
 
-    possible = possible_atoms(program, compiled=compiled)
+    possible = possible_atoms(program, naive=naive)
     grouped = _atoms_by_predicate(possible)
-    relations = GroundAtomRelations(grouped) if compiled else None
+    relations = None if naive else GroundAtomRelations(grouped)
     facts = frozenset(program.facts)
 
     ground_rules: List[GroundRule] = []
     seen: Set[Tuple[Tuple[Atom, ...], Tuple[Atom, ...], Tuple[Atom, ...]]] = set()
     for rule in program.rules:
         for assignment in _body_instantiations(
-            rule, grouped, relations=relations, compiled=compiled
+            rule, grouped, relations=relations, naive=naive
         ):
             head = tuple(atom.substitute(assignment) for atom in rule.head)
             positive = tuple(atom.substitute(assignment) for atom in rule.positive)

@@ -27,7 +27,7 @@ positions first, from the schema and binding pattern — never re-derived
 per call) and resolves constants, repeated variables and
 relevant-attribute null guards into specialised per-atom matchers over a
 flat slot array.  Execution is **bit-for-bit equivalent** to the
-interpreted paths it replaces: the same violation sets (bindings and
+``naive=True`` reference oracle: the same violation sets (bindings and
 ``body_facts`` included), the same query answer sets, and therefore the
 same repairs and consistent answers — the property suite
 (``tests/property/test_compiled_equivalence.py``) pins this on every
@@ -578,7 +578,7 @@ class CompiledConstraint:
 
         Runs the seeded plan of every body occurrence with the fact's
         shape; matches reached through several occurrences are
-        deduplicated, exactly like the interpreted enumeration.
+        deduplicated.
         """
 
         plans = self._seed_plans_by_shape.get((fact.predicate, fact.arity))
@@ -590,11 +590,6 @@ class CompiledConstraint:
                 if violation not in seen:
                     seen.add(violation)
                     yield violation
-
-    def covers_partial(self, partial: Mapping[Variable, Constant]) -> bool:
-        """Can a binding-pattern plan serve *partial*?  (Keys ⊆ body vars.)"""
-
-        return all(variable in self._var_slots for variable in partial)
 
     def _partial_plan(self, pattern: FrozenSet[Variable]) -> JoinPlan:
         plan = self._partial_plans.get(pattern)
@@ -674,10 +669,6 @@ class CompiledQuery:
         self.n_slots = len(self._var_slots)
         empty: FrozenSet[Variable] = frozenset()
         order = _static_schedule(atoms, empty, skip=None)
-        #: The static schedule, also reused by the interpreted reference
-        #: path (`ConjunctiveQuery._indexed_bindings`) so it stops
-        #: re-sorting atoms per invocation.
-        self.order: Tuple[int, ...] = tuple(order)
         self.plan = JoinPlan(
             steps=_build_steps(atoms, order, self._var_slots, empty, empty),
             n_slots=self.n_slots,
@@ -706,7 +697,7 @@ class CompiledQuery:
     def answers(
         self, instance: DatabaseInstance, null_is_unknown: bool = False
     ) -> FrozenSet[Tuple[Constant, ...]]:
-        """The query's answer set — same set as the interpreted paths."""
+        """The query's answer set — same set as ``answers(naive=True)``."""
 
         results: Set[Tuple[Constant, ...]] = set()
         slots: List[Constant] = [None] * self.n_slots  # type: ignore[list-item]

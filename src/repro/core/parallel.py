@@ -116,22 +116,12 @@ _DELTA_COST = 96
 
 _EMPTY_FACTS: FrozenSet[Fact] = frozenset()
 
-#: ``REPRO_SHM=0`` in the environment disables shipping the base
-#: instance to pool workers through ``multiprocessing.shared_memory``
-#: (the pickled facts-tuple fallback is used instead).  Purely a
-#: transport knob — answers are identical either way.
-_SHM_FLAG = "REPRO_SHM"
-
 #: ``REPRO_SHIP_AUDIT=1`` makes the driver measure the pickled size of
 #: every shipped task/result payload — and of the un-encoded objects
 #: they replace — into the ship-bytes fields of
 #: :class:`~repro.core.repairs.RepairStatistics`.  Off by default: the
 #: audit pays one extra pickle per shipment.
 _AUDIT_FLAG = "REPRO_SHIP_AUDIT"
-
-
-def _shm_enabled() -> bool:
-    return os.environ.get(_SHM_FLAG, "") != "0"
 
 
 def _ship_audit() -> bool:
@@ -642,7 +632,9 @@ class ParallelRepairSearch:
     sums the per-task counts, so with overlapping subtrees (non
     denial-only constraints) it may exceed the ``"naive"`` search's
     unique-state count — the ``max_states`` budget applies to that sum
-    and is checked as each task finishes.
+    and is checked as each task finishes.  Each task's chunk is clamped
+    to the states left under the cap (see :meth:`_task_chunk`), so an
+    over-cap search stops one state past it, like ``"naive"``.
 
     *seed_tracker* warm-starts the inline search context (see
     :class:`SearchContext`); pool workers sweep on their own.
@@ -705,6 +697,28 @@ class ParallelRepairSearch:
         ambient = _budget.active()
         return ambient if ambient else None
 
+    def _task_chunk(self, total_states: int, budget: Optional[Budget]) -> int:
+        """The number of states the next task may explore.
+
+        ``chunk_states``, clamped so the task stops one state past the
+        nearer of the two state caps — the search's ``max_states``
+        (*total_states* spent so far) and the request budget's
+        ``remaining_states()`` — instead of overshooting it by up to a
+        whole chunk.  One state past is what proves a cap exceeded.
+        Workers never see the request budget (their state charges land
+        on a separate object), so the clamp is what truncates a pool
+        task at the cap; inline and pool tasks use this same rule.
+        """
+
+        chunk = self._chunk_states
+        if self._max_states is not None:
+            chunk = min(chunk, self._max_states - total_states + 1)
+        if budget is not None:
+            allowance = budget.remaining_states()
+            if allowance is not None:
+                chunk = min(chunk, allowance + 1)
+        return max(chunk, 1)
+
     def _instance_payload(self, audit: bool) -> "_InstancePayload":
         """The base-instance payload for the pool initializer.
 
@@ -713,31 +727,28 @@ class ParallelRepairSearch:
         driver-owned ``multiprocessing.shared_memory`` segment and ship
         only ``("shm", name, size)`` — every distinct constant pickles
         once, and respawned pools re-attach to the same segment instead
-        of re-pickling the facts per worker.  ``REPRO_SHM=0`` (or any
-        shared-memory failure, e.g. an unmounted ``/dev/shm``) falls
-        back to the classic ``("facts", tuple)`` pickle; workers behave
-        identically either way.
+        of re-pickling the facts per worker.  Any shared-memory failure
+        (e.g. an unmounted ``/dev/shm``) falls back to the classic
+        ``("facts", tuple)`` pickle; workers behave identically either
+        way.
         """
 
         if audit:
             self.statistics.instance_ship_bytes_raw += len(
                 pickle.dumps(tuple(self._instance.facts()), pickle.HIGHEST_PROTOCOL)
             )
-        if _shm_enabled():
-            try:
-                from multiprocessing import shared_memory
+        try:
+            from multiprocessing import shared_memory
 
-                data = _columnar.pack_instance(self._instance)
-                segment = shared_memory.SharedMemory(
-                    create=True, size=max(len(data), 1)
-                )
-                segment.buf[: len(data)] = data
-            except Exception:
-                pass
-            else:
-                self._shm = segment
-                self.statistics.instance_ship_bytes += len(data)
-                return ("shm", segment.name, len(data))
+            data = _columnar.pack_instance(self._instance)
+            segment = shared_memory.SharedMemory(create=True, size=max(len(data), 1))
+            segment.buf[: len(data)] = data
+        except Exception:
+            pass
+        else:
+            self._shm = segment
+            self.statistics.instance_ship_bytes += len(data)
+            return ("shm", segment.name, len(data))
         facts = tuple(self._instance.facts())
         if audit:
             self.statistics.instance_ship_bytes += len(
@@ -835,7 +846,11 @@ class ParallelRepairSearch:
                         return
                 task = queue.popleft()
                 yield absorb(
-                    context.run_task(task, self._chunk_states, request_budget=budget)
+                    context.run_task(
+                        task,
+                        self._task_chunk(total_states, budget),
+                        request_budget=budget,
+                    )
                 )
             return
 
@@ -891,7 +906,7 @@ class ParallelRepairSearch:
                     self._instance, self._index, exclusions=self._exclusions
                 )
             return inline_context.run_task(
-                task, self._chunk_states, request_budget=budget
+                task, self._task_chunk(total_states, budget), request_budget=budget
             )
 
         def spawn() -> ProcessPoolExecutor:
@@ -951,16 +966,7 @@ class ParallelRepairSearch:
                         # pool for it and settle it inline.
                         yield absorb(run_inline(task))
                         continue
-                    # Workers never see the request budget (their state
-                    # charges would land on a separate object), so clamp
-                    # the chunk to the remaining state allowance: a cap
-                    # smaller than a chunk truncates the task itself
-                    # rather than being noticed only after it returns.
-                    chunk = self._chunk_states
-                    if budget is not None:
-                        allowance = budget.remaining_states()
-                        if allowance is not None:
-                            chunk = max(1, min(chunk, allowance))
+                    chunk = self._task_chunk(total_states, budget)
                     task_wire = _encode_task(codec, task)
                     self.statistics.tasks_shipped += 1
                     charge_shipment(task_wire, task)

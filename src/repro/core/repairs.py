@@ -306,8 +306,8 @@ class ViolationTracker:
     by every tracker over the same index):
 
     * a fact added to a **body** predicate can only create violations
-      that use the fact itself (the seeded delta plans, the compiled
-      form of :func:`repro.core.satisfaction.seeded_violations`);
+      that use the fact itself (the seeded delta plans,
+      :meth:`~repro.compile.kernel.CompiledConstraint.seeded_violations`);
     * a fact removed from a **body** predicate only destroys the stored
       violations listing it among their ``body_facts``;
     * a fact added to a **head** predicate can only resolve stored
@@ -316,8 +316,7 @@ class ViolationTracker:
     * a fact removed from a **head** predicate can only surface matches
       whose witness it was — re-enumerated under the partial assignment
       the deleted witness pins down (the binding-pattern delta plans,
-      the compiled form of
-      :func:`repro.core.satisfaction.violations_under_assignment`).
+      :meth:`~repro.compile.kernel.CompiledConstraint.violations_under`).
 
     Every update returns a :class:`ViolationDelta` that :meth:`revert`
     undoes exactly, which is what lets the repair search run as a

@@ -224,9 +224,10 @@ used of 2
     def remaining_states(self) -> Optional[int]:
         """States left before the cap (never negative), or ``None``.
 
-        The parallel scheduler clamps each task's chunk to this, so a
-        state cap far below the chunk size still truncates the first
-        task instead of being noticed only after it returns.
+        The frontier scheduler clamps each task's chunk to one state
+        past this (the state that exhausts the budget), so a state cap
+        far below the chunk size still truncates the first task instead
+        of being noticed only after it returns.
         """
 
         if self.max_states is None:

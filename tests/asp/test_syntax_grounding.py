@@ -129,7 +129,7 @@ class TestGrounding:
 
 
 class TestCompiledGroundingEquivalence:
-    """Kernel-joined grounding == the interpreted reference grounder."""
+    """Kernel-joined grounding == the nested-loop reference grounder."""
 
     def _programs(self):
         a, b = Variable("a"), Variable("b")
@@ -158,10 +158,10 @@ class TestCompiledGroundingEquivalence:
 
     def test_possible_atoms_and_rules_match(self):
         for program in self._programs():
-            assert possible_atoms(program) == possible_atoms(program, compiled=False)
+            assert possible_atoms(program) == possible_atoms(program, naive=True)
             compiled = ground_program(program)
-            interpreted = ground_program(program, compiled=False)
-            assert compiled.facts == interpreted.facts
-            assert compiled.possible_atoms == interpreted.possible_atoms
-            assert set(compiled.rules) == set(interpreted.rules)
-            assert len(compiled.rules) == len(interpreted.rules)
+            reference = ground_program(program, naive=True)
+            assert compiled.facts == reference.facts
+            assert compiled.possible_atoms == reference.possible_atoms
+            assert set(compiled.rules) == set(reference.rules)
+            assert len(compiled.rules) == len(reference.rules)

@@ -130,6 +130,22 @@ class TestBitIdenticalOutput:
         with pytest.raises(RepairSearchBudgetExceeded):
             frontier_repairs(instance, constraints, max_states=10, chunk_states=4)
 
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_max_states_stops_one_state_past_the_cap_like_naive(self, workers):
+        """Each task's chunk is clamped to the states left under the cap."""
+
+        instance, constraints = grouped_key_workload(
+            n_groups=6, group_size=3, n_clean=10, seed=3
+        )
+        naive = RepairEngine(constraints, method="naive", max_states=10)
+        with pytest.raises(RepairSearchBudgetExceeded):
+            naive.repairs(instance)
+        assert naive.statistics.states_explored == 11
+        engine = RepairEngine(constraints, max_states=10, workers=workers)
+        with pytest.raises(RepairSearchBudgetExceeded):
+            engine.repairs(instance)
+        assert engine.statistics.states_explored == naive.statistics.states_explored
+
 
 class TestHypothesisEquivalence:
     CONSTRAINTS = ConstraintSet(

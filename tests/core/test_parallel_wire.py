@@ -164,7 +164,12 @@ class TestInstancePayload:
             shared_memory.SharedMemory(name=payload[1])
 
     def test_facts_fallback_when_shm_disabled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM", "0")
+        from multiprocessing import shared_memory
+
+        def unavailable(*args, **kwargs):
+            raise OSError("shared memory unavailable")
+
+        monkeypatch.setattr(shared_memory, "SharedMemory", unavailable)
         instance = _instance()
         search = ParallelRepairSearch(instance, self.CONSTRAINTS, workers=2)
         try:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.constraints.factories import not_null
-from repro.constraints.parser import parse_constraint
+from repro.constraints.parser import parse_constraint, parse_query
 from repro.core.satisfaction import (
     all_violations,
     is_consistent,
@@ -165,3 +165,44 @@ class TestProjectionCrossValidation:
         inconsistent = DatabaseInstance.from_dict({"P": [("a", "b")]})
         for db in (consistent, inconsistent):
             assert satisfies(db, ic) == satisfies_under(db, ic, Semantics.CLASSICAL)
+
+
+class TestNaiveOracleIsKernelFree:
+    """The ``naive=True`` reference never reaches the compiled kernel.
+
+    Lint rule INV004 only checks imports; this pins the runtime
+    property the equivalence suites rely on.  With every kernel entry
+    point and the generated-executor factory made to raise, the naive
+    violation sweep and the naive query evaluator must still answer on
+    every paper scenario.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _kernel_raises(self, monkeypatch):
+        from repro.compile import codegen, kernel
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the naive reference path reached the kernel")
+
+        for name in ("compiled_constraint", "compiled_body", "compiled_query", "compile_program"):
+            monkeypatch.setattr(kernel, name, refuse)
+        monkeypatch.setattr(codegen, "matcher", refuse)
+
+    def test_patches_are_live(self):
+        instance = DatabaseInstance.from_dict({"P": [("a",)]})
+        with pytest.raises(AssertionError, match="reached the kernel"):
+            violations(instance, parse_constraint("P(x) -> Q(x)"))
+
+    @pytest.mark.parametrize("scenario_name", sorted(scenarios.all_scenarios()))
+    def test_naive_paths_answer_without_the_kernel(self, all_scenarios, scenario_name):
+        scenario = all_scenarios[scenario_name]
+        instance = scenario.instance
+        found = all_violations(instance, scenario.constraints, naive=True)
+        if scenario.expected_consistent is not None:
+            assert (not found) == scenario.expected_consistent
+        for predicate in sorted(instance.predicates):
+            variables = ", ".join(f"x{i}" for i in range(instance.schema.arity(predicate)))
+            query = parse_query(f"ans({variables}) <- {predicate}({variables})")
+            for null_is_unknown in (False, True):
+                answers = query.answers(instance, null_is_unknown=null_is_unknown, naive=True)
+                assert answers == frozenset(instance.tuples(predicate))

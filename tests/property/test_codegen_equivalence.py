@@ -7,12 +7,12 @@ Python closures of :mod:`repro.compile.codegen`; the step interpreter
 
 This suite drives the same public entry points through both backends
 (generated code — the shipped default — and the step interpreter) and
-pins them against the ``compiled=False`` interpreter and the
-``naive=True`` nested-loop reference, which lint rule INV006 keeps
-codegen-free so the oracle can never become circular.  Payloads (bindings, body facts), seeded delta
-plans and query answers under both null conventions are compared, on
-the paper scenarios, the null-heavy generated workloads and
-hypothesis-random instances.
+pins them against the ``naive=True`` nested-loop reference, which never
+touches the kernel, so the oracle can never become circular.  Payloads
+(bindings, body facts), seeded delta plans (against the naive
+violations that use the seeded fact) and query answers under both null
+conventions are compared, on the paper scenarios, the null-heavy
+generated workloads and hypothesis-random instances.
 """
 
 import pytest
@@ -22,7 +22,8 @@ from hypothesis import strategies as st
 from repro.compile import codegen
 from repro.constraints.ic import ConstraintSet, NotNullConstraint
 from repro.constraints.parser import parse_constraint, parse_query
-from repro.core.satisfaction import all_violations, seeded_violations, violations
+from repro.compile.kernel import compiled_constraint
+from repro.core.satisfaction import all_violations, violations
 from repro.relational.domain import NULL
 from repro.relational.instance import DatabaseInstance, Fact
 from repro.workloads import (
@@ -76,10 +77,9 @@ def per_backend(fn):
 
 # --------------------------------------------------------------------------- violations
 @pytest.mark.parametrize("name,instance,constraints", CASES, ids=CASE_IDS)
-def test_every_backend_matches_the_interpreters(name, instance, constraints):
+def test_every_backend_matches_naive(name, instance, constraints):
     for constraint in constraints:
         reference = set(violations(instance, constraint, naive=True))
-        assert reference == set(violations(instance, constraint, compiled=False))
         for backend, result in per_backend(
             lambda: violations(instance, constraint)
         ).items():
@@ -99,7 +99,7 @@ def test_violation_payloads_are_identical_across_backends(name, instance, constr
     for constraint in constraints:
         by_key = {
             (v.bindings, v.body_facts)
-            for v in violations(instance, constraint, compiled=False)
+            for v in violations(instance, constraint, naive=True)
         }
         for backend, result in per_backend(
             lambda: violations(instance, constraint)
@@ -121,12 +121,12 @@ def test_seeded_delta_plans_match_on_every_backend(name, instance, constraints):
     for constraint in constraints:
         if isinstance(constraint, NotNullConstraint):
             continue
+        naive = violations(instance, constraint, naive=True)
+        unit = compiled_constraint(constraint)
         for fact in instance.facts():
-            reference = set(
-                seeded_violations(instance, constraint, fact, compiled=False)
-            )
+            reference = {v for v in naive if fact in v.body_facts}
             for backend, result in per_backend(
-                lambda: set(seeded_violations(instance, constraint, fact))
+                lambda: set(unit.seeded_violations(instance, fact))
             ).items():
                 assert result == reference, (name, backend, constraint, fact)
 

@@ -1,16 +1,18 @@
-"""Compiled kernel ≡ interpreted evaluation, everywhere.
+"""Compiled kernel ≡ the naive reference oracle, everywhere.
 
 The compiled plans of :mod:`repro.compile.kernel` must be bit-for-bit
-equivalent to the interpreted paths they replaced:
+equivalent to the kernel-free ``naive=True`` nested-loop reference:
 
 * **violations** — per constraint, the compiled enumeration equals the
-  index-backed interpreter (``compiled=False``) and the nested-loop
-  reference (``naive=True``), as sets *and* in count, on every paper
+  nested-loop reference, as sets *and* in count, on every paper
   scenario and generated workload;
-* **seeded / binding-pattern delta plans** — after any mutation the
-  seeded enumeration equals the interpreted one, for every fact;
-* **query answers** — compiled, interpreted (memoised-schedule) and
-  naive paths agree on every query, under both null conventions;
+* **seeded / binding-pattern delta plans** — checked against oracles
+  derived from the naive result: the seeded plans of a fact must yield
+  exactly the naive violations listing that fact among their
+  ``body_facts``, and a binding-pattern plan exactly the naive
+  violations whose assignment agrees with the partial assignment;
+* **query answers** — compiled and naive paths agree on every query,
+  under both null conventions;
 * **end-to-end** — repairs and CQA through ``ConsistentDatabase``
   (whose tracker and engines execute compiled plans) equal the
   ``naive`` repair mode (which never touches the kernel), repair lists
@@ -26,12 +28,8 @@ from repro.constraints.ic import ConstraintSet, NotNullConstraint
 from repro.constraints.parser import parse_constraint, parse_query
 from repro.core.cqa import consistent_answers
 from repro.core.repairs import RepairEngine
-from repro.core.satisfaction import (
-    all_violations,
-    seeded_violations,
-    violations,
-    violations_under_assignment,
-)
+from repro.compile.kernel import compiled_constraint
+from repro.core.satisfaction import all_violations, violations
 from repro.relational.domain import NULL
 from repro.relational.instance import DatabaseInstance, Fact
 from repro.workloads import (
@@ -66,6 +64,22 @@ CASES = list(all_cases())
 CASE_IDS = [name for name, _, _ in CASES]
 
 
+def seeded_oracle(naive, fact):
+    """Oracle for the seeded plans: the *naive* violations that use *fact*."""
+
+    return {v for v in naive if fact in v.body_facts}
+
+
+def partial_oracle(naive, partial):
+    """Oracle for a binding-pattern plan: the *naive* violations agreeing with *partial*."""
+
+    return {
+        v
+        for v in naive
+        if all(v.assignment[variable] == value for variable, value in partial.items())
+    }
+
+
 def generic_queries(instance):
     queries = []
     for predicate in instance.predicates:
@@ -78,17 +92,16 @@ def generic_queries(instance):
 
 # --------------------------------------------------------------------------- violations
 @pytest.mark.parametrize("name,instance,constraints", CASES, ids=CASE_IDS)
-def test_compiled_violations_match_both_interpreters(name, instance, constraints):
+def test_compiled_violations_match_naive(name, instance, constraints):
     for constraint in constraints:
         compiled = violations(instance, constraint)
-        interpreted = violations(instance, constraint, compiled=False)
         naive = violations(instance, constraint, naive=True)
-        assert set(compiled) == set(interpreted) == set(naive)
+        assert set(compiled) == set(naive)
         # Same count too: no duplicates appear or disappear.
         assert len(compiled) == len(set(compiled))
-        assert len(interpreted) == len(set(interpreted))
+        assert len(naive) == len(set(naive))
     assert set(all_violations(instance, constraints)) == set(
-        all_violations(instance, constraints, compiled=False)
+        all_violations(instance, constraints, naive=True)
     )
 
 
@@ -99,7 +112,7 @@ def test_compiled_violation_payloads_are_identical(name, instance, constraints):
     for constraint in constraints:
         by_key = {
             (v.bindings, v.body_facts): v
-            for v in violations(instance, constraint, compiled=False)
+            for v in violations(instance, constraint, naive=True)
         }
         for violation in violations(instance, constraint):
             assert (violation.bindings, violation.body_facts) in by_key
@@ -113,31 +126,31 @@ def test_compiled_violation_payloads_are_identical(name, instance, constraints):
 
 
 @pytest.mark.parametrize("name,instance,constraints", CASES, ids=CASE_IDS)
-def test_seeded_delta_plans_match_interpreter(name, instance, constraints):
+def test_seeded_delta_plans_match_naive_oracle(name, instance, constraints):
     for constraint in constraints:
         if isinstance(constraint, NotNullConstraint):
             continue
+        naive = violations(instance, constraint, naive=True)
+        unit = compiled_constraint(constraint)
         for fact in instance.facts():
-            compiled = set(seeded_violations(instance, constraint, fact))
-            interpreted = set(
-                seeded_violations(instance, constraint, fact, compiled=False)
+            compiled = set(unit.seeded_violations(instance, fact))
+            assert compiled == seeded_oracle(naive, fact), (
+                name,
+                constraint,
+                fact,
             )
-            assert compiled == interpreted, (name, constraint, fact)
 
 
 # --------------------------------------------------------------------------- queries
 @pytest.mark.parametrize("name,instance,constraints", CASES, ids=CASE_IDS)
-def test_compiled_query_answers_match_both_interpreters(name, instance, constraints):
+def test_compiled_query_answers_match_naive(name, instance, constraints):
     for query in generic_queries(instance):
         for null_is_unknown in (False, True):
             compiled = query.answers(instance, null_is_unknown=null_is_unknown)
-            interpreted = query.answers(
-                instance, null_is_unknown=null_is_unknown, compiled=False
-            )
             naive = query.answers(
                 instance, null_is_unknown=null_is_unknown, naive=True
             )
-            assert compiled == interpreted == naive, (name, query, null_is_unknown)
+            assert compiled == naive, (name, query, null_is_unknown)
 
 
 def test_compiled_query_with_negation_and_comparisons():
@@ -183,13 +196,12 @@ common_settings = settings(
 
 @common_settings
 @given(facts=st.lists(FACTS, max_size=8))
-def test_random_instances_compiled_equals_interpreted(facts):
+def test_random_instances_compiled_equals_naive(facts):
     instance = DatabaseInstance.from_facts(facts)
     for constraint in CONSTRAINTS:
         compiled = violations(instance, constraint)
-        interpreted = violations(instance, constraint, compiled=False)
         naive = violations(instance, constraint, naive=True)
-        assert set(compiled) == set(interpreted) == set(naive)
+        assert set(compiled) == set(naive)
 
 
 @common_settings
@@ -198,34 +210,22 @@ def test_random_seeded_enumeration_matches(facts, seed):
     instance = DatabaseInstance.from_facts(facts)
     instance.add(seed)
     for constraint in CONSTRAINTS:
-        compiled = set(seeded_violations(instance, constraint, seed))
-        interpreted = set(seeded_violations(instance, constraint, seed, compiled=False))
-        assert compiled == interpreted
+        naive = violations(instance, constraint, naive=True)
+        compiled = set(compiled_constraint(constraint).seeded_violations(instance, seed))
+        assert compiled == seeded_oracle(naive, seed)
 
 
 @common_settings
 @given(facts=st.lists(FACTS, max_size=6), value=VALUES)
 def test_random_partial_assignments_match(facts, value):
-    from repro.constraints.terms import Variable
-
     instance = DatabaseInstance.from_facts(facts)
     for constraint in CONSTRAINTS:
+        naive = violations(instance, constraint, naive=True)
+        unit = compiled_constraint(constraint)
         for variable in sorted(constraint.body_variables(), key=lambda v: v.name):
             partial = {variable: value}
-            compiled = set(violations_under_assignment(instance, constraint, partial))
-            interpreted = set(
-                violations_under_assignment(instance, constraint, partial, compiled=False)
-            )
-            assert compiled == interpreted
-    # A partial mentioning a non-body variable falls back to the
-    # interpreter and keeps its extra-binding semantics.
-    constraint = CONSTRAINTS[0]
-    foreign = {Variable("zz_not_in_body"): value}
-    compiled = list(violations_under_assignment(instance, constraint, foreign))
-    interpreted = list(
-        violations_under_assignment(instance, constraint, foreign, compiled=False)
-    )
-    assert set(compiled) == set(interpreted)
+            compiled = set(unit.violations_under(instance, partial))
+            assert compiled == partial_oracle(naive, partial)
 
 
 # --------------------------------------------------------------------------- end to end

@@ -58,6 +58,9 @@ class _CountingBudget:
     def remaining_seconds(self):
         return None
 
+    def remaining_states(self):
+        return None
+
     def elapsed(self):
         return 0.0
 

@@ -103,7 +103,7 @@ CODEGEN_FREE_MODULES = REFERENCE_MODULES | frozenset(
     }
 )
 #: The modules that own the library's environment switches:
-#: ``REPRO_TRACE``, ``REPRO_CHAOS`` and ``REPRO_SHM``/``REPRO_SHIP_AUDIT``.
+#: ``REPRO_TRACE``, ``REPRO_CHAOS`` and ``REPRO_SHIP_AUDIT``.
 ENV_OWNERS = frozenset(
     {
         "src/repro/obs/trace.py",
