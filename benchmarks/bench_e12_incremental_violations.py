@@ -6,8 +6,9 @@ instance per branch.  This experiment runs the two
 ``RepairEngine(method=...)`` paths against each other as the instance
 size and the violation count scale:
 
-* ``naive`` — full per-state recomputation, nested-loop joins (the seed
-  reference path, kept as the independent oracle);
+* ``naive`` — full per-state recomputation, nested-loop joins and the
+  definitional pairwise ``leq_deltas`` filter (the seed reference path,
+  kept as the independent oracle);
 * ``incremental`` — the frontier search, run inline: a mutate/undo
   working instance whose violation set is maintained by the
   :class:`ViolationTracker` (one seeded per-constraint update per fact

@@ -25,7 +25,9 @@ incremental engine:
   tracker ran; the gap to ``violation_updates × |IC|`` measures how much
   the predicate → constraint index pruned;
 * ``leq_d_comparisons`` — pairwise ``≤_D`` checks in the minimality
-  filter (quadratic in the candidate count);
+  filter (quadratic in the candidate count; ``DeltaMinimality`` checks
+  for the frontier search, definitional ``leq_deltas`` calls for
+  ``naive``);
 * ``search_seconds`` / ``minimality_seconds`` — wall-clock split between
   candidate enumeration and the ``≤_D`` filter, so a benchmark can tell
   which phase a configuration is bound by.

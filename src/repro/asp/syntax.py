@@ -186,11 +186,6 @@ class Program:
 
         return all(rule.is_normal for rule in self._rules)
 
-    def disjunctive_rules(self) -> List[Rule]:
-        """The rules with at least two head atoms."""
-
-        return [rule for rule in self._rules if rule.is_disjunctive]
-
     def __len__(self) -> int:
         return len(self._rules) + len(self._facts)
 

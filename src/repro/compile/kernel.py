@@ -67,7 +67,6 @@ from repro.constraints.atoms import (
 )
 from repro.constraints.ic import (
     AnyConstraint,
-    ConstraintSet,
     IntegrityConstraint,
     NotNullConstraint,
 )
@@ -892,11 +891,3 @@ def compile_program(constraints: Tuple[AnyConstraint, ...]) -> CompiledProgram:
         if sp:
             sp.add(constraints=len(constraints))
         return CompiledProgram(constraints)
-
-
-def program_for(
-    constraints: Union[ConstraintSet, Iterable[AnyConstraint]]
-) -> CompiledProgram:
-    """Convenience wrapper accepting any constraint collection."""
-
-    return compile_program(tuple(constraints))

@@ -258,21 +258,6 @@ def iter_plan_matches(
         )
 
 
-def plan_has_match(
-    plan: JoinPlan,
-    relations: Relations,
-    seed_row: Optional[Row] = None,
-    initial_values: Optional[Mapping[Variable, Constant]] = None,
-) -> bool:
-    """Does the plan have at least one match?  (Early-exit execution.)"""
-
-    slots: List[Constant] = [None] * plan.n_slots  # type: ignore[list-item]
-    rows: List[Optional[Row]] = [None] * plan.n_atoms
-    for _ in iter_plan_matches(plan, relations, slots, rows, seed_row, initial_values):
-        return True
-    return False
-
-
 class CountingRelations(Relations):
     """A :class:`Relations` adapter that counts probes and rows served.
 

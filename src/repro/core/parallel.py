@@ -89,9 +89,6 @@ from repro.core.repairs import (
     ViolationTracker,
     deletion_fixes,
     insertion_fixes,
-    leq_deltas,
-    minimal_flags_counted,
-    minimal_flags_for_deltas,
     violation_choice_key,
 )
 from repro.relational import columnar as _columnar
@@ -682,12 +679,6 @@ class ParallelRepairSearch:
         self.degradation: Optional[Degradation] = None
         self.statistics = RepairStatistics()
 
-    @property
-    def uses_exclusions(self) -> bool:
-        """True when sibling-exclusion partitioning is active (denial-only)."""
-
-        return self._exclusions
-
     def active_budget(self) -> Optional[Budget]:
         """The request budget the search answers to: the constructor's,
         else the ambient one (``None`` when neither is set)."""
@@ -1088,13 +1079,15 @@ class ParallelRepairSearch:
 
 
 # --------------------------------------------------------------------------- minimality
-#: Per-process minimality context (all deltas), built by the initializer.
+#: Per-process minimality context (all deltas), built by the initializer
+#: of the pool that :func:`repro.core.repairs.minimal_flags_for_deltas`
+#: slices the ``≤_D`` filter across.
 _MINIMALITY_CONTEXT: Optional[DeltaMinimality] = None
 
 
 def _minimality_init(deltas: Tuple[FrozenSet[Fact], ...]) -> None:
     global _MINIMALITY_CONTEXT
-    _MINIMALITY_CONTEXT = DeltaMinimality(list(deltas))
+    _MINIMALITY_CONTEXT = DeltaMinimality(deltas)
 
 
 def _minimality_run(start: int, stop: int) -> Tuple[List[bool], int]:
@@ -1106,33 +1099,21 @@ def _minimality_run(start: int, stop: int) -> Tuple[List[bool], int]:
     return flags, _MINIMALITY_CONTEXT.comparisons - before
 
 
-def parallel_minimal_flags(
+def _minimality_pool(
     deltas: Sequence[FrozenSet[Fact]], workers: int
 ) -> Tuple[List[bool], int]:
-    """``≤_D``-minimality flags with the pairwise checks sliced across processes.
-
-    Each worker receives every candidate's delta once (via the pool
-    initializer) and decides domination for contiguous index slices,
-    reusing its process-local :class:`DeltaMinimality` context across
-    them; the flags concatenate in index order, so the verdicts are
-    identical to the sequential filter's.  Returns the per-candidate
-    flags plus the total number of pairwise checks.
-    """
+    """The sliced filter behind :func:`~repro.core.repairs.minimal_flags_for_deltas`."""
 
     count = len(deltas)
-    if count <= 1 or workers < 2:
-        return minimal_flags_counted(deltas)
-    slice_size = max(1, -(-count // (workers * 4)))  # ceil; ~4 slices per worker
-    ranges = [
-        (start, min(start + slice_size, count))
-        for start in range(0, count, slice_size)
-    ]
+    slice_size = -(-count // (workers * 4))  # ceil; ~4 slices per worker
+    starts = range(0, count, slice_size)
+    stops = [min(start + slice_size, count) for start in starts]
     flags: List[bool] = []
     comparisons = 0
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_minimality_init, initargs=(tuple(deltas),)
     ) as executor:
-        for sliced, counted in executor.map(_minimality_run, *zip(*ranges)):
+        for sliced, counted in executor.map(_minimality_run, starts, stops):
             flags.extend(sliced)
             comparisons += counted
     return flags, comparisons
@@ -1175,6 +1156,8 @@ class _StreamCandidate:
     inserted: FrozenSet[Fact]
     deleted: FrozenSet[Fact]
     delta: FrozenSet[Fact]
+    #: The candidate's index in the stream's :class:`DeltaMinimality`.
+    index: int
     yielded: bool = False
     dominated: bool = False
 
@@ -1186,9 +1169,11 @@ class AnytimeRepairStream:
     earliest moment its minimality is certain: no discovered candidate
     strictly dominates it, and :func:`frontier_could_dominate` clears
     every open task.  When the search is exhausted the remaining
-    undecided candidates go through the standard filter, so the yielded
-    set is always exactly the repair set — anytime changes *when* each
-    repair becomes available, never *which*.
+    undecided candidates are settled against the same
+    :class:`~repro.core.repairs.DeltaMinimality` context the proofs
+    used, so the yielded set is always exactly the repair set — anytime
+    changes *when* each repair becomes available, never *which*.  Its
+    pairwise checks land in ``statistics.leq_d_comparisons``.
 
     After exhaustion :attr:`ordered_repairs` holds the repairs in the
     canonical discovery order (the order
@@ -1206,6 +1191,8 @@ class AnytimeRepairStream:
         self._search = search
         self._schema = schema
         self._base_facts = search._instance.fact_set()
+        #: Every discovered candidate's delta, in discovery order.
+        self._context = DeltaMinimality()
         self.ordered_repairs: Optional[List[DatabaseInstance]] = None
         self.states_at_first_yield: Optional[int] = None
         self.yields_before_completion = 0
@@ -1235,11 +1222,11 @@ class AnytimeRepairStream:
         search_complete = False
         budget = self._search.active_budget()
         stopped: Optional[str] = None
+        context = self._context
 
         def provable(open_tasks: Sequence[FrontierTask]) -> Iterator[_StreamCandidate]:
             nonlocal stopped
-            candidates = list(pool.values())
-            for entry in candidates:
+            for entry in list(pool.values()):
                 if entry.yielded or entry.dominated:
                     continue
                 if budget is not None:
@@ -1251,16 +1238,10 @@ class AnytimeRepairStream:
                         if not budget.degrade:
                             raise budget.error(stopped)
                         return
-                blocked = False
-                for other in candidates:
-                    if other is entry:
-                        continue
-                    if leq_deltas(other.delta, entry.delta):
-                        if not leq_deltas(entry.delta, other.delta):
-                            entry.dominated = True
-                            blocked = True
-                            break
-                if blocked:
+                dominated = context.dominated(entry.index)
+                self.statistics.leq_d_comparisons = context.comparisons
+                if dominated:
+                    entry.dominated = True
                     continue
                 if any(
                     frontier_could_dominate(task.delta(), entry.delta)
@@ -1281,8 +1262,13 @@ class AnytimeRepairStream:
                     key = (inserted, deleted)
                     entry = pool.get(key)
                     if entry is None:
+                        candidate_delta = inserted | deleted
                         pool[key] = _StreamCandidate(
-                            path, inserted, deleted, inserted | deleted
+                            path,
+                            inserted,
+                            deleted,
+                            candidate_delta,
+                            context.add(candidate_delta),
                         )
                     elif path < entry.path:
                         entry.path = path
@@ -1317,14 +1303,18 @@ class AnytimeRepairStream:
             return
 
         search_complete = True
-        # The search is exhausted: settle the undecided candidates with the
-        # exact pairwise filter and emit whatever was not proven early, in
-        # canonical discovery order.
+        # The search is exhausted: settle every candidate not already known
+        # dominated against the full context — yielded ones included, so a
+        # wrong certificate surfaces — and emit whatever was not proven
+        # early, in canonical discovery order.
         ordered = sorted(pool.values(), key=lambda entry: entry.path)
-        flags = minimal_flags_for_deltas([entry.delta for entry in ordered])
+        for entry in ordered:
+            if not entry.dominated:
+                entry.dominated = context.dominated(entry.index)
+        self.statistics.leq_d_comparisons = context.comparisons
         self.ordered_repairs = []
-        for entry, minimal in zip(ordered, flags):
-            if not minimal:
+        for entry in ordered:
+            if entry.dominated:
                 if entry.yielded:
                     raise AssertionError(
                         "anytime certificate yielded a non-minimal candidate "

@@ -39,7 +39,7 @@ from repro.constraints.ic import (
 )
 from repro.constraints.terms import Variable, is_variable
 from repro.core.relevant import relevant_body_variables
-from repro.core.repairs import minimal_under_leq_d
+from repro.core.repairs import minimal_flags_for_deltas
 from repro.asp.grounding import ground_program
 from repro.asp.shift import is_head_cycle_free, shift_program
 from repro.asp.stable import stable_models
@@ -349,9 +349,12 @@ def program_repairs(
             seen.add(key)
             databases.append(database)
 
-    repairs = (
-        minimal_under_leq_d(instance, databases) if minimal_only else list(databases)
-    )
+    repairs = list(databases)
+    if minimal_only:
+        flags, _ = minimal_flags_for_deltas(
+            [instance.symmetric_difference(database) for database in databases]
+        )
+        repairs = [database for database, keep in zip(databases, flags) if keep]
     return ProgramRepairResult(
         program=program,
         models=models,

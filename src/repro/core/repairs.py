@@ -85,9 +85,11 @@ def _null_atom_covered(
 def leq_deltas(delta_first: FrozenSet[Fact], delta_second: FrozenSet[Fact]) -> bool:
     """``≤_D`` (Definition 6) evaluated directly on two symmetric differences.
 
-    The anytime stream and the parallel minimality filter hold the
-    candidates as precomputed ``∆(D, ·)`` sets; this is :func:`leq_d`
-    without the instance subtraction.
+    This is :func:`leq_d` without the instance subtraction, written as
+    the definition reads: the reference that the ``naive`` oracle,
+    :func:`minimal_under_leq_d` and :func:`brute_force_repairs` filter
+    with, and that the production comparator :class:`DeltaMinimality`
+    is tested against.
     """
 
     for fact in delta_first:
@@ -557,7 +559,9 @@ class RepairStatistics:
       the tracker ran (≤ ``violation_updates × |IC|``; the smaller the
       ratio, the better the predicate → constraint index is pruning);
     * ``leq_d_comparisons`` — pairwise ``≤_D`` checks performed by the
-      minimality filter;
+      minimality filter (``DeltaMinimality.leq`` calls, or
+      :func:`leq_deltas` calls under ``"naive"``; an anytime stream
+      reports its proofs' and final settle's checks);
     * ``search_seconds`` / ``minimality_seconds`` — **wall-clock** split
       between candidate enumeration and the ``≤_D`` filter, always
       measured by the driving engine (never summed across concurrent
@@ -660,7 +664,8 @@ class RepairEngine:
       are ever materialised as instances;
     * ``"naive"`` — the independent reference oracle: full violation
       recomputation per state with unindexed nested-loop joins, one
-      instance copy per branch, then the instance-level ``≤_D`` filter.
+      instance copy per branch, then the definitional pairwise ``≤_D``
+      filter (:func:`minimal_under_leq_d`).
 
     >>> from repro.relational.instance import DatabaseInstance
     >>> from repro.constraints.parser import parse_constraint
@@ -861,9 +866,6 @@ class RepairEngine:
             for _, inserted, deleted in found
         ]
 
-    #: Below this many candidates the pairwise filter is cheaper than a pool.
-    _PARALLEL_MINIMALITY_MIN = 64
-
     def repairs(
         self,
         instance: DatabaseInstance,
@@ -875,7 +877,8 @@ class RepairEngine:
         deltas *before* any candidate instance is built, so only the
         surviving repairs pay the O(|D|) materialisation and no
         symmetric difference is ever recomputed.  ``"naive"`` filters
-        the materialised candidates instead.
+        the materialised candidates with the definitional pairwise
+        :func:`leq_deltas`, independent of :class:`DeltaMinimality`.
         """
 
         if self._method == "naive":
@@ -888,13 +891,10 @@ class RepairEngine:
                 found = self._search(instance, seed_tracker)
             started = _clock.now()
             with _trace.span("repair.minimality", candidates=len(found)):
-                deltas = [inserted | deleted for _, inserted, deleted in found]
-                if self._workers >= 2 and len(deltas) >= self._PARALLEL_MINIMALITY_MIN:
-                    from repro.core.parallel import parallel_minimal_flags
-
-                    flags, comparisons = parallel_minimal_flags(deltas, self._workers)
-                else:
-                    flags, comparisons = minimal_flags_counted(deltas)
+                flags, comparisons = minimal_flags_for_deltas(
+                    [inserted | deleted for _, inserted, deleted in found],
+                    self._workers,
+                )
                 minimal = self._materialise(
                     instance, [entry for entry, keep in zip(found, flags) if keep]
                 )
@@ -908,85 +908,141 @@ class RepairEngine:
 def minimal_under_leq_d(
     original: DatabaseInstance, candidates: Sequence[DatabaseInstance]
 ) -> List[DatabaseInstance]:
-    """The candidates not strictly dominated (``<_D``) by another candidate."""
+    """The candidates not strictly dominated (``<_D``) by another candidate.
+
+    The reference filter: pairwise :func:`leq_deltas` on the candidates'
+    symmetric differences with *original*, never :class:`DeltaMinimality`.
+    """
 
     minimal, _ = _minimal_under_leq_d_counted(original, candidates)
     return minimal
 
 
+def _minimal_under_leq_d_counted(
+    original: DatabaseInstance, candidates: Sequence[DatabaseInstance]
+) -> Tuple[List[DatabaseInstance], int]:
+    """:func:`minimal_under_leq_d` plus the number of :func:`leq_deltas` calls."""
+
+    deltas = [delta(original, candidate) for candidate in candidates]
+    comparisons = 0
+    minimal: List[DatabaseInstance] = []
+    for index, candidate in enumerate(candidates):
+        dominated = False
+        for other, other_delta in enumerate(deltas):
+            if other == index:
+                continue
+            comparisons += 1
+            if leq_deltas(other_delta, deltas[index]):
+                comparisons += 1
+                if not leq_deltas(deltas[index], other_delta):
+                    dominated = True
+                    break
+        if not dominated:
+            minimal.append(candidate)
+    return minimal, comparisons
+
+
 #: A null-atom coverage signature: (predicate, arity, non-null positions).
 _CoverSignature = Tuple[str, int, Tuple[int, ...]]
 
+#: A null atom prepared for cover lookups: (signature, projected values).
+_NullProbe = Tuple[_CoverSignature, Tuple[Constant, ...]]
+
 
 class DeltaMinimality:
-    """``≤_D`` comparison machinery over precomputed candidate deltas.
+    """The production ``≤_D`` comparator over candidate deltas.
 
-    Each delta is split into its null-free part (condition (a) of
-    Definition 6 is then one subset check) and its null atoms, which are
-    matched against per-candidate coverage tables keyed by (predicate,
-    arity, non-null positions) → projected values — turning the
-    O(|∆|²) rescan of condition (b) into an indexed lookup.
+    Holds a growing list of ``∆(D, ·)`` sets; :meth:`add` appends one and
+    returns its index, so the anytime stream keeps one context for its
+    whole life and the batch filter builds one over all candidates.  On
+    first use as the left operand a delta is split into its null-free
+    part — condition (a) of Definition 6 is then one subset check — and
+    its null atoms.  Condition (b) looks each null atom up in the right
+    operand's cover table for the atom's (predicate, arity, non-null
+    positions) signature, built on first demand per candidate and per
+    signature.  :func:`leq_deltas` is the definition this must agree with.
 
-    The class is constructed from the deltas alone so that the parallel
-    minimality filter can rebuild identical contexts inside worker
-    processes and check disjoint index ranges (:meth:`dominated` only
-    reads shared-by-construction state plus a per-context lazy cache).
+    Pool workers of the sliced filter rebuild identical contexts from
+    the deltas alone and check disjoint index ranges.
     """
 
-    def __init__(self, deltas: Sequence[FrozenSet[Fact]]):
-        self.deltas: List[FrozenSet[Fact]] = list(deltas)
-        count = len(self.deltas)
-        self.plain: List[FrozenSet[Fact]] = [
-            frozenset(fact for fact in d if not fact.has_null()) for d in self.deltas
-        ]
-        self.null_atoms: List[Tuple[Fact, ...]] = [
-            tuple(fact for fact in d if fact.has_null()) for d in self.deltas
-        ]
-        self.signatures: Set[_CoverSignature] = {
-            (fact.predicate, fact.arity, fact.non_null_positions())
-            for atoms in self.null_atoms
-            for fact in atoms
-        }
-        self.by_relation: Dict[Tuple[str, int], List[_CoverSignature]] = {}
-        for signature in self.signatures:
-            self.by_relation.setdefault((signature[0], signature[1]), []).append(
-                signature
-            )
-        self._cover_cache: List[Optional[Dict]] = [None] * count
+    def __init__(self, deltas: Iterable[FrozenSet[Fact]] = ()):
+        self.deltas: List[FrozenSet[Fact]] = []
+        self._plain: List[Optional[FrozenSet[Fact]]] = []
+        self._null_probes: List[Tuple[_NullProbe, ...]] = []
+        self._covers: List[Dict[_CoverSignature, Dict[Tuple[Constant, ...], List[Fact]]]] = []
         #: Pairwise ``≤_D`` checks performed through this context.
         self.comparisons = 0
+        for candidate_delta in deltas:
+            self.add(candidate_delta)
 
-    def _cover(self, index: int) -> Dict:
-        """The candidate's coverage table, built lazily in one delta pass."""
+    def add(self, candidate_delta: FrozenSet[Fact]) -> int:
+        """Append a candidate's delta; its index in this context."""
 
-        table = self._cover_cache[index]
+        self.deltas.append(candidate_delta)
+        self._plain.append(None)
+        self._null_probes.append(())
+        self._covers.append({})
+        return len(self.deltas) - 1
+
+    def _split(self, index: int) -> FrozenSet[Fact]:
+        """The null-free part of a delta, splitting off its null probes once."""
+
+        candidate_delta = self.deltas[index]
+        null_atoms = [fact for fact in candidate_delta if fact.has_null()]
+        probes = []
+        for fact in null_atoms:
+            positions = fact.non_null_positions()
+            probes.append(
+                (
+                    (fact.predicate, fact.arity, positions),
+                    tuple(fact.values[p] for p in positions),
+                )
+            )
+        self._null_probes[index] = tuple(probes)
+        plain = candidate_delta.difference(null_atoms) if null_atoms else candidate_delta
+        self._plain[index] = plain
+        return plain
+
+    def _cover(
+        self, index: int, signature: _CoverSignature
+    ) -> Dict[Tuple[Constant, ...], List[Fact]]:
+        """The delta's facts of the signature's relation, by projected values."""
+
+        covers = self._covers[index]
+        table = covers.get(signature)
         if table is None:
-            table = {signature: {} for signature in self.signatures}
+            predicate, arity, positions = signature
+            table = {}
             for fact in self.deltas[index]:
-                for signature in self.by_relation.get((fact.predicate, fact.arity), ()):
-                    table[signature].setdefault(
-                        tuple(fact.values[p] for p in signature[2]), []
+                if fact.predicate == predicate and fact.arity == arity:
+                    table.setdefault(
+                        tuple(fact.values[p] for p in positions), []
                     ).append(fact)
-            self._cover_cache[index] = table
+            covers[signature] = table
         return table
 
     def leq(self, first: int, second: int) -> bool:
-        """``candidate[first] ≤_D candidate[second]`` on the stored deltas."""
+        """``candidate[first] ≤_D candidate[second]`` (Definition 6)."""
 
         self.comparisons += 1
-        if not self.plain[first] <= self.deltas[second]:
+        plain = self._plain[first]
+        if plain is None:
+            plain = self._split(first)
+        if not plain <= self.deltas[second]:
             return False
-        for fact in self.null_atoms[first]:
-            signature = (fact.predicate, fact.arity, fact.non_null_positions())
-            bucket = self._cover(second)[signature].get(
-                tuple(fact.values[p] for p in signature[2]), ()
-            )
-            if not any(candidate not in self.deltas[first] for candidate in bucket):
-                return False
+        probes = self._null_probes[first]
+        if probes:
+            first_delta = self.deltas[first]
+            for signature, projected in probes:
+                bucket = self._cover(second, signature).get(projected, ())
+                # Condition (b): the cover must lie outside ∆(D, first).
+                if all(fact in first_delta for fact in bucket):
+                    return False
         return True
 
     def dominated(self, index: int) -> bool:
-        """Is the candidate strictly ``<_D``-dominated by any other?"""
+        """Is the candidate strictly ``<_D``-dominated by another in the context?"""
 
         return any(
             other != index and self.leq(other, index) and not self.leq(index, other)
@@ -994,46 +1050,32 @@ class DeltaMinimality:
         )
 
 
-def minimal_flags_counted(
-    deltas: Sequence[FrozenSet[Fact]],
-) -> Tuple[List[bool], int]:
-    """Per-candidate minimality flags plus the number of pairwise checks.
+#: Below this many candidates the inline filter is cheaper than a pool.
+_POOL_MINIMALITY_MIN = 64
 
-    The in-process filter over one :class:`DeltaMinimality` context.
-    (The parallel filter's worker-side slicing lives in
-    :func:`repro.core.parallel._minimality_run`, which reuses a
-    process-local context across its slice instead.)
+
+def minimal_flags_for_deltas(
+    deltas: Sequence[FrozenSet[Fact]], workers: int = 0
+) -> Tuple[List[bool], int]:
+    """Per-candidate ``≤_D``-minimality flags plus the pairwise checks made.
+
+    The production filter: one :class:`DeltaMinimality` over every
+    delta.  With ``workers >= 2`` and at least
+    :data:`_POOL_MINIMALITY_MIN` candidates the domination checks are
+    sliced across a process pool instead: each worker builds the same
+    context once (the pool initializer) and decides contiguous index
+    slices, and the flags concatenate in index order, so the verdicts
+    are identical to the inline filter's.
     """
 
-    context = DeltaMinimality(deltas)
-    flags = [not context.dominated(index) for index in range(len(context.deltas))]
-    return flags, context.comparisons
+    count = len(deltas)
+    if workers < 2 or count < _POOL_MINIMALITY_MIN:
+        context = DeltaMinimality(deltas)
+        return [not context.dominated(index) for index in range(count)], context.comparisons
 
+    from repro.core.parallel import _minimality_pool
 
-def minimal_flags_for_deltas(deltas: Sequence[FrozenSet[Fact]]) -> List[bool]:
-    """True per index iff the candidate is not strictly ``<_D``-dominated."""
-
-    flags, _ = minimal_flags_counted(deltas)
-    return flags
-
-
-def _minimal_under_leq_d_counted(
-    original: DatabaseInstance, candidates: Sequence[DatabaseInstance]
-) -> Tuple[List[DatabaseInstance], int]:
-    """``≤_D``-minimality via :class:`DeltaMinimality` (single context)."""
-
-    count = len(candidates)
-    if count <= 1:
-        return list(candidates), 0
-    context = DeltaMinimality(
-        [original.symmetric_difference(candidate) for candidate in candidates]
-    )
-    minimal = [
-        candidate
-        for index, candidate in enumerate(candidates)
-        if not context.dominated(index)
-    ]
-    return minimal, context.comparisons
+    return _minimality_pool(deltas, workers)
 
 
 def repairs(

@@ -118,8 +118,6 @@ class ExplainReport:
         lines.append(
             f"Cache: generation={self.generation} "
             f"hits={self.cache.hits} misses={self.cache.misses} "
-            f"compiled_builds={self.cache.compiled_builds} "
-            f"compiled_hits={self.cache.compiled_hits} "
             f"answer_cache_hit={self.answer_cache_hit}"
         )
         lines.append("Phases (wall clock):")
@@ -248,10 +246,6 @@ def analyze_request(
             phases["plan"] = _clock.now() - started
 
             started = _clock.now()
-            session.compiled_program()
-            phases["compile"] = _clock.now() - started
-
-            started = _clock.now()
             analyses, violations, rows_scanned, probes = _analyze_violations(session)
             phases["violations"] = _clock.now() - started
             registry.counter(
@@ -299,11 +293,9 @@ def analyze_request(
         for name, value in after.items()
         if value != before.get(name, 0.0)
     }
-    from dataclasses import replace
-
     return ExplainReport(
         query=str(query),
-        plan=replace(plan, compiled_program_cached=True),
+        plan=plan,
         generation=session.generation,
         phases=phases,
         constraints=analyses,

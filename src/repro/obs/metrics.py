@@ -350,12 +350,6 @@ def session_statistics_view():
         mutations=_counter_value("repro_session_mutations_total"),
         tracker_rebuilds=_counter_value("repro_session_tracker_rebuilds_total"),
         batches_rolled_back=_counter_value("repro_session_batches_rolled_back_total"),
-        compiled_programs_built=_counter_value(
-            "repro_session_compiled_programs_built_total"
-        ),
-        compiled_program_hits=_counter_value(
-            "repro_session_compiled_program_hits_total"
-        ),
     )
 
 

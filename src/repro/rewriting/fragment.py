@@ -167,10 +167,6 @@ class KeyInfo:
     determinant: Tuple[int, ...]
     fds: List[FDInfo] = field(default_factory=list)
 
-    @property
-    def dependent_positions(self) -> Tuple[int, ...]:
-        return tuple(sorted({fd.dependent for fd in self.fds}))
-
 
 @dataclass
 class FragmentAnalysis:
@@ -192,17 +188,6 @@ class FragmentAnalysis:
         """Multi-atom denial constraints with *predicate* in the antecedent."""
 
         return [d for d in self.multi_denials if predicate in d.body_predicates()]
-
-    def deletion_sources(self, predicate: str) -> bool:
-        """Can facts of *predicate* be deleted by some repair at all?"""
-
-        return bool(
-            predicate in self.keys
-            or predicate in self.checks
-            or predicate in self.not_nulls
-            or self.denials_mentioning(predicate)
-            or self.rics_with_antecedent(predicate)
-        )
 
 
 def _as_constraint_set(

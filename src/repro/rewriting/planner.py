@@ -77,12 +77,6 @@ class CQAPlan:
     #: (inline).  The pool's output is bit-identical to the inline
     #: search's, so this never changes answers.
     workers: int = 0
-    #: Filled by ``ConsistentDatabase.explain()``: True when the session
-    #: has already cached its constraint set's compiled plans
-    #: (:class:`repro.compile.kernel.CompiledProgram`) — a prior
-    #: violation-path call served them — so an enumeration fallback
-    #: pays no compilation.  ``None`` outside a session context.
-    compiled_program_cached: Optional[bool] = None
     #: Filled by ``ConsistentDatabase.explain()``: how many join plans
     #: the session's requests have specialized through
     #: :mod:`repro.compile.codegen` so far (the session-local slice of

@@ -31,7 +31,8 @@ from repro.constraints.atoms import Atom, Comparison
 from repro.constraints.ic import IntegrityConstraint
 from repro.constraints.terms import Variable, is_variable
 from repro.core.relevant import relevant_body_variables
-from repro.sqlbackend.backend import _column, _literal, _operator, _quote
+from repro.sqlbackend.backend import _column, _operator
+from repro.sqlbackend.ddl import _quote_identifier, _sql_literal
 from repro.rewriting.residues import (
     CheckResidue,
     DenialResidue,
@@ -71,7 +72,7 @@ def _nullsafe_eq(left: str, right: str) -> str:
 def _value_eq(column: str, value: object) -> str:
     if is_null(value):
         return f"{column} IS NULL"
-    return f"{column} = {_literal(value)}"
+    return f"{column} = {_sql_literal(value)}"
 
 
 def _query_comparison_sql(
@@ -84,7 +85,7 @@ def _query_comparison_sql(
     def render(term: object) -> "tuple[str, bool]":
         if is_variable(term):
             return variable_columns[term], False  # a column, possibly NULL
-        return _literal(term), is_null(term)
+        return _sql_literal(term), is_null(term)
 
     left, left_is_null = render(comparison.left)
     right, right_is_null = render(comparison.right)
@@ -136,7 +137,7 @@ def rewritten_query_sql(
     for index, rewriting in enumerate(rewritten.atoms):
         atom = rewriting.atom
         alias = f"t{index}"
-        from_parts.append(f"{_quote(atom.predicate)} AS {alias}")
+        from_parts.append(f"{_quote_identifier(atom.predicate)} AS {alias}")
         for position, term in enumerate(atom.terms):
             column = _column(schema, atom.predicate, position, alias)
             if is_variable(term):
@@ -226,12 +227,12 @@ def _comparison_sql(
         left = (
             columns[comparison.left]
             if is_variable(comparison.left)
-            else _literal(comparison.left)
+            else _sql_literal(comparison.left)
         )
         right = (
             columns[comparison.right]
             if is_variable(comparison.right)
-            else _literal(comparison.right)
+            else _sql_literal(comparison.right)
         )
         rendered.append(f"{left} {_operator(comparison.op)} {right}")
     return "(" + " OR ".join(rendered) + ")"
@@ -289,7 +290,7 @@ def _fd_cert_sql(
     parts.append("(" + " OR ".join(conflicts) + ")")
     where = " AND ".join(parts)
     return (
-        f"NOT EXISTS (SELECT 1 FROM {_quote(key.predicate)} AS {partner} "
+        f"NOT EXISTS (SELECT 1 FROM {_quote_identifier(key.predicate)} AS {partner} "
         f"WHERE {where})"
     )
 
@@ -329,7 +330,7 @@ def _ric_cert_sql(
                 witness_parts.append(_nullsafe_eq(column, first))
     witness_where = " AND ".join(witness_parts) if witness_parts else "1 = 1"
     parts.append(
-        f"NOT EXISTS (SELECT 1 FROM {_quote(head_atom.predicate)} AS {witness} "
+        f"NOT EXISTS (SELECT 1 FROM {_quote_identifier(head_atom.predicate)} AS {witness} "
         f"WHERE {witness_where})"
     )
     return "NOT (" + " AND ".join(parts) + ")"
@@ -363,7 +364,7 @@ def _denial_cert_sql(
         if index == residue.index:
             continue
         other_alias = aliases.next()
-        sub_from.append(f"{_quote(other.predicate)} AS {other_alias}")
+        sub_from.append(f"{_quote_identifier(other.predicate)} AS {other_alias}")
         for position, term in enumerate(other.terms):
             column = _column(schema, other.predicate, position, other_alias)
             if is_variable(term):

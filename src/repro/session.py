@@ -100,22 +100,13 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class CacheInfo:
-    """A snapshot of the session cache's effectiveness counters.
-
-    ``compiled_builds``/``compiled_hits`` break out the compiled-plan
-    entries (the :class:`~repro.compile.kernel.CompiledProgram` cached
-    per constraint fingerprint — the key survives mutations): a healthy
-    session builds at most one and serves every later violation-path
-    query from the cache.
-    """
+    """A snapshot of the session cache's effectiveness counters."""
 
     hits: int
     misses: int
     size: int
     maxsize: int
     evictions: int
-    compiled_builds: int = 0
-    compiled_hits: int = 0
     #: Specialized plan executors (:mod:`repro.compile.codegen`) built
     #: since this session started — the generated closures live in the
     #: process-wide memo next to the compiled constraints, so a warm
@@ -146,13 +137,6 @@ _SESSION_ROLLED_BACK = _metrics.counter(
 )
 _SESSION_TRACKER_REBUILDS = _metrics.counter(
     "repro_session_tracker_rebuilds_total", "full violation-tracker rebuilds"
-)
-_SESSION_COMPILED_BUILDS = _metrics.counter(
-    "repro_session_compiled_programs_built_total", "compiled-plan cache fills"
-)
-_SESSION_COMPILED_HITS = _metrics.counter(
-    "repro_session_compiled_program_hits_total",
-    "compiled-plan probes served from the session cache",
 )
 
 
@@ -210,8 +194,6 @@ class SessionStatistics:
     mutations: int = 0  #: effective fact insertions/deletions
     tracker_rebuilds: int = 0  #: full violation sweeps (1 on first use; more only after out-of-band instance mutations)
     batches_rolled_back: int = 0
-    compiled_programs_built: int = 0  #: compiled-plan cache fills (≤ 1 per session — the fingerprint key survives mutations)
-    compiled_program_hits: int = 0  #: compiled-plan probes served from the session cache
 
 
 #: One journal entry of an open batch: ("insert"/"delete", fact, tracker delta).
@@ -300,9 +282,6 @@ class ConsistentDatabase:
         self._sql_backend_schema: Optional[DatabaseSchema] = None
         self._sql_backend_generation = -1
         self._constraint_relations: Optional[List[Tuple[str, int]]] = None
-        #: Guards the once-per-session ``compiled_programs_built`` count
-        #: (an LRU eviction may re-cache the program, never recompile it).
-        self._compiled_program_cached_once = False
         #: Baseline of the process-wide code-generator counter, so
         #: ``cache_info().codegen_builds`` reports the specialized-plan
         #: builds *this session's* requests triggered (a warm process
@@ -362,22 +341,13 @@ class ConsistentDatabase:
         return self._instance.copy()
 
     def cache_info(self) -> CacheInfo:
-        """Hit/miss/size counters of the session's LRU cache.
-
-        The ``compiled_*`` fields single out the compiled-plan entry:
-        ``compiled_builds`` is how many times this session filled it
-        (at most once — the constraint fingerprint key survives
-        mutations) and ``compiled_hits`` how many violation-path
-        queries it subsequently served.
-        """
+        """Hit/miss/size counters of the session's LRU cache."""
 
         from repro.compile.codegen import codegen_statistics
 
         info = self._cache.info()
         return replace(
             info,
-            compiled_builds=self.statistics.compiled_programs_built,
-            compiled_hits=self.statistics.compiled_program_hits,
             codegen_builds=(
                 codegen_statistics().plans_generated - self._codegen_baseline
             ),
@@ -408,21 +378,15 @@ class ConsistentDatabase:
 
     # ------------------------------------------------------------------ compiled plans
     def compiled_program(self) -> "CompiledProgram":
-        """The constraint set's compiled plans, cached across mutations.
+        """The constraint set's compiled plans.
 
         The :class:`~repro.compile.kernel.CompiledProgram` depends only
-        on the constraints — never on the data — so it lives in the
-        session LRU under the mutation-surviving constraint fingerprint:
-        ``compiled_builds`` is incremented on the first fill only, so it
-        stays at 1 for the session's lifetime however much the LRU
-        churns.  Compilation itself happens at most once per (schema,
-        constraints) pair, ever: the program object is owned by the
-        session's :class:`~repro.core.repairs.ViolationIndex` (an LRU
-        eviction merely re-caches the same object, it never recompiles),
-        and the process-wide memo of :mod:`repro.compile.kernel` dedupes
-        even across sessions.  Every violation-path consumer — the warm
-        tracker, the repair engines, the parallel workers — executes
-        these plans.
+        on the constraints, never on the data: the session's
+        :class:`~repro.core.repairs.ViolationIndex` compiles it once at
+        construction, and the process-wide memo of
+        :mod:`repro.compile.kernel` dedupes even across sessions.  Every
+        violation-path consumer — the warm tracker, the repair engines,
+        the parallel workers — executes these plans.
 
         >>> from repro import ConsistentDatabase, parse_constraint
         >>> db = ConsistentDatabase(
@@ -431,24 +395,9 @@ class ConsistentDatabase:
         ... )
         >>> db.compiled_program() is db.compiled_program()
         True
-        >>> db.cache_info().compiled_builds
-        1
         """
 
-        key = ("compiled", self._fingerprint)
-        cached = self._cache.get(key)  # promotes: the hottest entry stays resident
-        if cached is not None:
-            self.statistics.compiled_program_hits += 1
-            _SESSION_COMPILED_HITS.inc()
-            return cached
-        with _trace.span("compile.session"):
-            program = self._violation_index.program
-        self._cache.put(key, program)
-        if not self._compiled_program_cached_once:
-            self._compiled_program_cached_once = True
-            self.statistics.compiled_programs_built += 1
-            _SESSION_COMPILED_BUILDS.inc()
-        return program
+        return self._violation_index.program
 
     # ------------------------------------------------------------------ violations
     def _ensure_tracker(self) -> ViolationTracker:
@@ -464,7 +413,6 @@ class ConsistentDatabase:
             self._tracker is None
             or self._tracker_generation != self._instance.generation
         ):
-            self.compiled_program()  # plans served from the fingerprint cache
             self._tracker = ViolationTracker(self._instance, self._violation_index)
             self._tracker_generation = self._instance.generation
             self.statistics.tracker_rebuilds += 1
@@ -922,17 +870,6 @@ class ConsistentDatabase:
         ... )
         >>> db.explain(parse_query("ans(e) <- Emp(e, d)")).method
         'rewriting'
-
-        The returned plan also reports whether the session already holds
-        the constraint set's compiled plans
-        (``plan.compiled_program_cached``), so the cost of an
-        enumeration fallback is visible up front:
-
-        >>> db.explain(parse_query("ans(e) <- Emp(e, d)")).compiled_program_cached
-        False
-        >>> _ = db.is_consistent()  # first violation-path call caches the plans
-        >>> db.explain(parse_query("ans(e) <- Emp(e, d)")).compiled_program_cached
-        True
         """
 
         if analyze:
@@ -943,7 +880,6 @@ class ConsistentDatabase:
         plan = self.plan(query, config)
         return replace(
             plan,
-            compiled_program_cached=self._compiled_program_cached_once,
             codegen_builds=self.cache_info().codegen_builds,
         )
 
@@ -1211,7 +1147,6 @@ class ConsistentDatabase:
         if cached is not None:
             return cached
         if method == "direct":
-            self.compiled_program()  # the search executes the cached plans
             engine = RepairEngine(
                 self._constraints,
                 max_states=config.max_states,

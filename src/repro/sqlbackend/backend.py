@@ -39,29 +39,16 @@ from repro.logic.queries import ConjunctiveQuery
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.resilience import budget as _budget
-from repro.sqlbackend.ddl import create_table_statements, insert_statements
-
-
-def _quote(name: str) -> str:
-    return '"' + name.replace('"', '""') + '"'
-
-
-def _literal(value: object) -> str:
-    if is_null(value):
-        return "NULL"
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, (int, float)):
-        return repr(value)
-    return "'" + str(value).replace("'", "''") + "'"
+from repro.sqlbackend.ddl import (
+    _quote_identifier,
+    _sql_literal,
+    create_table_statements,
+    insert_statements,
+)
 
 
 def _operator(op: str) -> str:
     return "<>" if op == "!=" else op
-
-
-class SQLGenerationError(ValueError):
-    """Raised when a constraint or query cannot be rendered as SQL."""
 
 
 # --------------------------------------------------------------------------- violation SQL
@@ -72,16 +59,16 @@ def violation_sql(
 
     if isinstance(constraint, NotNullConstraint):
         relation = schema.relation(constraint.predicate)
-        column = _quote(relation.attribute(constraint.position))
+        column = _quote_identifier(relation.attribute(constraint.position))
         return (
-            f"SELECT * FROM {_quote(relation.name)} WHERE {column} IS NULL"
+            f"SELECT * FROM {_quote_identifier(relation.name)} WHERE {column} IS NULL"
         )
     return _ic_violation_sql(constraint, schema)
 
 
 def _column(schema: DatabaseSchema, predicate: str, position: int, alias: str) -> str:
     attribute = schema.relation(predicate).attribute(position)
-    return f"{alias}.{_quote(attribute)}"
+    return f"{alias}.{_quote_identifier(attribute)}"
 
 
 def _ic_violation_sql(constraint: IntegrityConstraint, schema: DatabaseSchema) -> str:
@@ -94,7 +81,7 @@ def _ic_violation_sql(constraint: IntegrityConstraint, schema: DatabaseSchema) -
 
     for index, atom in enumerate(constraint.body):
         alias = f"t{index}"
-        from_parts.append(f"{_quote(atom.predicate)} AS {alias}")
+        from_parts.append(f"{_quote_identifier(atom.predicate)} AS {alias}")
         for position, term in enumerate(atom.terms):
             column = _column(schema, atom.predicate, position, alias)
             if is_variable(term):
@@ -104,7 +91,7 @@ def _ic_violation_sql(constraint: IntegrityConstraint, schema: DatabaseSchema) -
                 else:
                     conditions.append(f"{column} = {bound}")
             else:
-                conditions.append(f"{column} = {_literal(term)}")
+                conditions.append(f"{column} = {_sql_literal(term)}")
 
     for variable in sorted(relevant_vars, key=lambda v: v.name):
         conditions.append(f"{variable_columns[variable]} IS NOT NULL")
@@ -120,12 +107,12 @@ def _ic_violation_sql(constraint: IntegrityConstraint, schema: DatabaseSchema) -
             left = (
                 variable_columns[comparison.left]
                 if is_variable(comparison.left)
-                else _literal(comparison.left)
+                else _sql_literal(comparison.left)
             )
             right = (
                 variable_columns[comparison.right]
                 if is_variable(comparison.right)
-                else _literal(comparison.right)
+                else _sql_literal(comparison.right)
             )
             comparison_parts.append(f"{left} {_operator(comparison.op)} {right}")
         conditions.append("NOT (" + " OR ".join(comparison_parts) + ")")
@@ -163,9 +150,9 @@ def _witness_subquery(
                         f"({column} = {first} OR ({column} IS NULL AND {first} IS NULL))"
                     )
         else:
-            conditions.append(f"{column} = {_literal(term)}")
+            conditions.append(f"{column} = {_sql_literal(term)}")
     where = " AND ".join(conditions) if conditions else "1 = 1"
-    return f"SELECT 1 FROM {_quote(atom.predicate)} AS {alias} WHERE {where}"
+    return f"SELECT 1 FROM {_quote_identifier(atom.predicate)} AS {alias} WHERE {where}"
 
 
 # --------------------------------------------------------------------------- query SQL
@@ -178,7 +165,7 @@ def conjunctive_query_sql(query: ConjunctiveQuery, schema: DatabaseSchema) -> st
 
     for index, atom in enumerate(query.positive_atoms):
         alias = f"t{index}"
-        from_parts.append(f"{_quote(atom.predicate)} AS {alias}")
+        from_parts.append(f"{_quote_identifier(atom.predicate)} AS {alias}")
         for position, term in enumerate(atom.terms):
             column = _column(schema, atom.predicate, position, alias)
             if is_variable(term):
@@ -188,7 +175,7 @@ def conjunctive_query_sql(query: ConjunctiveQuery, schema: DatabaseSchema) -> st
                 else:
                     conditions.append(f"{column} = {bound}")
             else:
-                conditions.append(f"{column} = {_literal(term)}")
+                conditions.append(f"{column} = {_sql_literal(term)}")
 
     for negated_index, atom in enumerate(query.negative_atoms):
         alias = f"n{negated_index}"
@@ -198,22 +185,22 @@ def conjunctive_query_sql(query: ConjunctiveQuery, schema: DatabaseSchema) -> st
             if is_variable(term):
                 sub_conditions.append(f"{column} = {variable_columns[term]}")
             else:
-                sub_conditions.append(f"{column} = {_literal(term)}")
+                sub_conditions.append(f"{column} = {_sql_literal(term)}")
         where = " AND ".join(sub_conditions) if sub_conditions else "1 = 1"
         conditions.append(
-            f"NOT EXISTS (SELECT 1 FROM {_quote(atom.predicate)} AS {alias} WHERE {where})"
+            f"NOT EXISTS (SELECT 1 FROM {_quote_identifier(atom.predicate)} AS {alias} WHERE {where})"
         )
 
     for comparison in query.comparisons:
         left = (
             variable_columns[comparison.left]
             if is_variable(comparison.left)
-            else _literal(comparison.left)
+            else _sql_literal(comparison.left)
         )
         right = (
             variable_columns[comparison.right]
             if is_variable(comparison.right)
-            else _literal(comparison.right)
+            else _sql_literal(comparison.right)
         )
         conditions.append(f"{left} {_operator(comparison.op)} {right}")
 
@@ -255,7 +242,7 @@ class SQLiteBackend:
             placeholders = ", ".join("?" for _ in fact.values)
             values = tuple(None if is_null(v) else v for v in fact.values)
             cursor.execute(
-                f"INSERT INTO {_quote(fact.predicate)} VALUES ({placeholders})", values
+                f"INSERT INTO {_quote_identifier(fact.predicate)} VALUES ({placeholders})", values
             )
         self._connection.commit()
 
@@ -387,7 +374,7 @@ class SQLiteBackend:
                     row = tuple(None if is_null(v) else v for v in values)
                     try:
                         cursor.execute(
-                            f"INSERT INTO {_quote(predicate)} VALUES ({placeholders})",
+                            f"INSERT INTO {_quote_identifier(predicate)} VALUES ({placeholders})",
                             row,
                         )
                     except sqlite3.IntegrityError:

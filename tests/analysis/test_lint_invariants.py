@@ -182,6 +182,56 @@ class TestINV007EnvironmentSwitchOwners:
         assert rules_for("src/repro/core/x.py", source) == []
 
 
+class TestINV008UnreferencedDefinitions:
+    LIB = "src/repro/core/x.py"
+
+    @staticmethod
+    def flagged(source, *others):
+        library = {TestINV008UnreferencedDefinitions.LIB: source}
+        found = lint.unreferenced_definitions(library, [source, *others])
+        return [violation.message.split("'")[1] for violation in found]
+
+    def test_unreferenced_function_class_and_method_are_flagged(self):
+        source = (
+            "def lonely():\n    pass\n"
+            "class Orphan:\n    def unused_method(self):\n        pass\n"
+        )
+        assert self.flagged(source) == ["lonely", "Orphan", "unused_method"]
+
+    def test_a_reference_in_any_corpus_file_keeps_a_definition(self):
+        source = "def helper():\n    pass\n"
+        assert self.flagged(source, "from repro.core.x import helper\n") == []
+
+    def test_a_reference_in_the_defining_file_keeps_a_definition(self):
+        source = "def helper():\n    pass\n\ndef caller():\n    helper()\n"
+        assert self.flagged(source) == ["caller"]
+
+    def test_registering_decorators_exempt_a_definition(self):
+        source = "@register_engine('x')\nclass XEngine:\n    pass\n"
+        assert self.flagged(source, "register_engine\n") == []
+
+    def test_property_and_static_methods_are_not_exempt(self):
+        source = (
+            "class C:\n"
+            "    @property\n    def flag(self):\n        return 1\n"
+            "    @staticmethod\n    def build():\n        return 2\n"
+        )
+        assert self.flagged(source, "C\n") == ["flag", "build"]
+
+    def test_dunders_are_exempt(self):
+        source = "class C:\n    def __repr__(self):\n        return ''\n"
+        assert self.flagged(source, "C\n") == []
+
+    def test_pragma_opts_a_definition_out(self):
+        source = "def kept():  # lint: allow(INV008) public hook\n    pass\n"
+        assert self.flagged(source) == []
+
+    def test_only_library_files_are_checked(self, tmp_path):
+        (tmp_path / "tests").mkdir()
+        (tmp_path / "tests" / "test_y.py").write_text("def test_nothing():\n    pass\n")
+        assert lint.check_paths(["tests"], tmp_path) == []
+
+
 class TestPragma:
     def test_allow_pragma_suppresses_on_the_flagged_line(self):
         source = "import time\nt = time.perf_counter()  # lint: allow(INV001) calibration\n"
@@ -206,6 +256,7 @@ class TestRepository:
         assert lint.main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule in (
-            "INV001", "INV002", "INV003", "INV004", "INV005", "INV006", "INV007"
+            "INV001", "INV002", "INV003", "INV004", "INV005", "INV006", "INV007",
+            "INV008",
         ):
             assert rule in out

@@ -271,6 +271,15 @@ class TestAnytimeStream:
         assert stream.yields_before_completion > 0
         assert stream.states_at_first_yield < search.statistics.states_explored
 
+    def test_drained_stream_reports_its_leq_d_comparisons(self):
+        instance, constraints = grouped_key_workload(
+            n_groups=2, group_size=3, n_clean=3, seed=4
+        )
+        search = ParallelRepairSearch(instance, constraints, chunk_states=4)
+        stream = AnytimeRepairStream(search, schema=instance.schema)
+        assert len(list(stream)) == 9
+        assert stream.statistics.leq_d_comparisons > 0
+
     def test_stream_set_matches_on_insertion_workload(self):
         instance, constraints = foreign_key_workload(
             n_parents=4, n_children=6, violation_ratio=0.5, null_ratio=0.3, seed=5

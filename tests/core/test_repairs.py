@@ -218,3 +218,62 @@ class TestBruteForceCrossValidation:
         db = DatabaseInstance.from_dict({"P": [("a", "b"), ("c", "d")]})
         with pytest.raises(ValueError):
             brute_force_repairs(db, constraints, max_insertable_atoms=4)
+
+
+class TestReferencesAreDeltaMinimalityFree:
+    """The ``≤_D`` references filter with :func:`leq_deltas` alone.
+
+    With the production comparator made to raise, the ``naive`` engine,
+    :func:`minimal_under_leq_d` and :func:`brute_force_repairs` must
+    still run — so a bug in :class:`DeltaMinimality` cannot hide behind
+    the oracles it is checked against.
+    """
+
+    @pytest.fixture
+    def comparator_raises(self, monkeypatch):
+        import importlib
+        import sys
+
+        repairs_module = importlib.import_module("repro.core.repairs")
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a reference path reached the production comparator")
+
+        for name in ("DeltaMinimality", "minimal_flags_for_deltas"):
+            original = getattr(repairs_module, name)
+            for module in list(sys.modules.values()):
+                if getattr(module, "__name__", "").startswith("repro") and (
+                    getattr(module, name, None) is original
+                ):
+                    monkeypatch.setattr(module, name, forbidden)
+
+    def test_naive_engine_and_filter_on_every_paper_scenario(
+        self, all_scenarios, comparator_raises
+    ):
+        for scenario in all_scenarios.values():
+            engine = RepairEngine(scenario.constraints, method="naive")
+            found = engine.repairs(scenario.instance)
+            candidates = engine.candidates(scenario.instance)
+            assert fact_sets(minimal_under_leq_d(scenario.instance, candidates)) == (
+                fact_sets(found)
+            )
+            if scenario.expected_repairs:
+                assert fact_sets(found) == fact_sets(scenario.expected_repairs)
+
+    def test_brute_force_on_every_paper_scenario(self, all_scenarios, comparator_raises):
+        # Every paper scenario exceeds the exhaustive enumerator's atom
+        # limit, so the size guard fires before any filtering; the tiny
+        # instances below reach the filter.
+        for scenario in all_scenarios.values():
+            try:
+                brute_force_repairs(scenario.instance, scenario.constraints)
+            except ValueError as error:
+                assert "insertable atoms" in str(error)
+
+    def test_brute_force_filters_tiny_instances(self, comparator_raises):
+        ric = ConstraintSet([parse_constraint("P(x) -> Q(x, y)")])
+        found = brute_force_repairs(DatabaseInstance.from_dict({"P": [("a",)]}), ric)
+        assert {frozenset()} <= fact_sets(found)
+        denial = ConstraintSet([parse_constraint("P(x), Q(x) -> false")])
+        db = DatabaseInstance.from_dict({"P": [("a",)], "Q": [("a",)]})
+        assert len(brute_force_repairs(db, denial, max_insertable_atoms=6)) == 2

@@ -423,7 +423,7 @@ class TestNullHandling:
 
 
 class TestCompiledPlans:
-    """The session's compiled-program cache (the E15 compile-once contract)."""
+    """Real compilations per session (the E15 compile-once contract)."""
 
     def test_session_compiles_each_constraint_set_at_most_once(self):
         # Mirrors the E13 "exactly one tracker build" smoke check: over a
@@ -455,27 +455,22 @@ class TestCompiledPlans:
             after.constraints_compiled - before.constraints_compiled
             <= len(constraints)
         )
-        assert db.statistics.compiled_programs_built <= 1
 
-    def test_compiled_program_is_cached_and_surfaced(self):
-        db = make_session()
-        info = db.cache_info()
-        assert info.compiled_builds == 0 and info.compiled_hits == 0
+    def test_the_program_compiles_at_construction_and_never_again(self):
+        from repro.compile.kernel import compiler_statistics
+
+        constraints = [
+            parse_constraint("FreshCompileKey(a, b), FreshCompileKey(a, c) -> b = c")
+        ]
+        before = compiler_statistics().programs_compiled
+        db = ConsistentDatabase({"FreshCompileKey": [("k", 1), ("k", 2)]}, constraints)
+        assert compiler_statistics().programs_compiled == before + 1
         program = db.compiled_program()
-        assert db.cache_info().compiled_builds == 1
+        assert not db.is_consistent()
+        db.insert("FreshCompileKey", ("k3", 3))  # data never invalidates plans
+        db.explain(parse_query("ans(a) <- FreshCompileKey(a, b)"), analyze=True)
         assert db.compiled_program() is program
-        assert db.cache_info().compiled_hits >= 1
-        # Mutations do not invalidate the compiled plans (fingerprint key).
-        db.insert("Student", (34, "Zoe"))
-        assert db.compiled_program() is program
-        assert db.cache_info().compiled_builds == 1
-
-    def test_explain_reports_compiled_program_state(self):
-        db = make_session()
-        plan = db.explain(QUERY)
-        assert plan.compiled_program_cached is False
-        db.is_consistent()  # first violation-path call caches the plans
-        assert db.explain(QUERY).compiled_program_cached is True
+        assert compiler_statistics().programs_compiled == before + 1
 
     def test_violation_index_carries_the_program(self):
         db = make_session()

@@ -46,7 +46,7 @@ class TestExplainAnalyze:
         report = db.explain(
             parse_query("ans(e, d, s) <- Emp(e, d, s)"), analyze=True
         )
-        assert list(report.phases) == ["plan", "compile", "violations", "execute"]
+        assert list(report.phases) == ["plan", "violations", "execute"]
         assert all(seconds >= 0.0 for seconds in report.phases.values())
 
     def test_actuals_match_the_executed_result(self):

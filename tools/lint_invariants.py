@@ -34,10 +34,17 @@ INV007    environment-switch ownership: no ``os.environ`` / ``os.getenv``
           switches (``obs/trace.py``, ``resilience/faults.py``,
           ``core/parallel.py``) — a new environment knob cannot land
           silently
+INV008    no unreferenced definitions: a function, class or method under
+          ``src/repro`` whose name appears nowhere else in ``src/``,
+          ``tests/``, ``benchmarks/``, ``tools/``, ``examples/`` or
+          ``perfbench/`` is dead code.  Dunders and decorated definitions
+          (the engine and source registries register through decorators)
+          are exempt; ``@property``/``@staticmethod``/``@classmethod``
+          do not count as registration
 ========  ====================================================================
 
 A line may opt out with the pragma comment ``lint: allow(INVxxx)`` and a
-reason.  Usage::
+reason (for INV008, on the ``def``/``class`` line).  Usage::
 
     python tools/lint_invariants.py src tests
     python tools/lint_invariants.py --list-rules
@@ -47,10 +54,12 @@ from __future__ import annotations
 
 import argparse
 import ast
+import re
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 RULES: Dict[str, str] = {
     "INV001": "time.perf_counter/process_time outside src/repro/obs/clock.py",
@@ -60,6 +69,7 @@ RULES: Dict[str, str] = {
     "INV005": "print() in library code under src/repro",
     "INV006": "codegen-free module imports repro.compile.codegen",
     "INV007": "os.environ/os.getenv under src/repro outside the switch owners",
+    "INV008": "function/class/method under src/repro referenced nowhere else",
 }
 
 CLOCK_OWNER = "src/repro/obs/clock.py"
@@ -120,6 +130,15 @@ PRINT_ALLOWED = frozenset(
         "src/repro/compile/__main__.py",
     }
 )
+
+#: Where a definition under ``src/repro`` may be referenced from (INV008).
+REFERENCE_ROOTS = ("src", "tests", "benchmarks", "tools", "examples", "perfbench")
+#: Decorators that only shape a definition and so do not exempt it from
+#: INV008 the way a registering decorator does.
+PLAIN_DECORATORS = frozenset(
+    {"property", "staticmethod", "classmethod", "cached_property", "setter", "deleter"}
+)
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 TIMING_NAMES = frozenset({"perf_counter", "process_time"})
 BROAD_EXCEPTIONS = frozenset({"Exception", "BaseException"})
@@ -373,23 +392,93 @@ def check_source(rel_path: str, source: str) -> List[Violation]:
     return violations
 
 
+def _registers(decorator: ast.expr) -> bool:
+    """Does the decorator (possibly) register the definition somewhere?"""
+
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    if isinstance(decorator, ast.Name):
+        return decorator.id not in PLAIN_DECORATORS
+    if isinstance(decorator, ast.Attribute):
+        return decorator.attr not in PLAIN_DECORATORS
+    return True
+
+
+def unreferenced_definitions(
+    library: Mapping[str, str], corpus: Iterable[str]
+) -> List[Violation]:
+    """INV008 over *library* (repo-relative path → source of a ``src/repro`` file).
+
+    A definition is unreferenced when its name occurs exactly once as an
+    identifier across *corpus* (the texts of every file that may refer
+    to it, the defining file included) — i.e. only at the definition.
+    """
+
+    occurrences: Counter = Counter()
+    for text in corpus:
+        occurrences.update(_IDENTIFIER.findall(text))
+    violations: List[Violation] = []
+    for rel_path, source in sorted(library.items()):
+        try:
+            tree = ast.parse(source, filename=rel_path)
+        except SyntaxError:
+            continue  # check_source reports it as INV000
+        lines = source.splitlines()
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if any(_registers(decorator) for decorator in node.decorator_list):
+                continue
+            if occurrences[name] > 1 or "lint: allow(INV008)" in lines[node.lineno - 1]:
+                continue
+            violations.append(
+                Violation(
+                    "INV008",
+                    rel_path,
+                    node.lineno,
+                    f"{name!r} is referenced nowhere in "
+                    f"{', '.join(REFERENCE_ROOTS)}; delete it",
+                )
+            )
+    return violations
+
+
+def _python_files(target: Path) -> List[Path]:
+    if target.is_dir():
+        return sorted(target.rglob("*.py"))
+    return [target] if target.exists() else []
+
+
 def check_paths(paths: Sequence[str], root: Path) -> List[Violation]:
-    """Check every ``*.py`` file under *paths* (files or directories)."""
+    """Check every ``*.py`` file under *paths* (files or directories).
+
+    INV008 runs over the ``src/repro`` files among them, with every
+    ``*.py`` file under :data:`REFERENCE_ROOTS` as the reference corpus.
+    """
 
     violations: List[Violation] = []
+    library: Dict[str, str] = {}
     for raw in paths:
         target = (root / raw) if not Path(raw).is_absolute() else Path(raw)
-        files: Iterable[Path]
-        if target.is_dir():
-            files = sorted(target.rglob("*.py"))
-        else:
-            files = [target]
-        for file in files:
+        for file in _python_files(target):
             try:
                 rel = file.resolve().relative_to(root.resolve()).as_posix()
             except ValueError:
                 rel = file.as_posix()
-            violations.extend(check_source(rel, file.read_text(encoding="utf-8")))
+            source = file.read_text(encoding="utf-8")
+            violations.extend(check_source(rel, source))
+            if rel.startswith("src/repro/"):
+                library[rel] = source
+    if library:
+        corpus = (
+            file.read_text(encoding="utf-8")
+            for top in REFERENCE_ROOTS
+            for file in _python_files(root / top)
+        )
+        violations.extend(unreferenced_definitions(library, corpus))
     return violations
 
 
