@@ -25,8 +25,10 @@ live violation":
   of a multi-atom denial constraint (every such violation has a repair
   deleting this particular participant).
 
-Every residue evaluates three ways: fast in-memory (:meth:`holds`
-against :class:`RewriteIndexes`), as a first-order formula
+Every residue evaluates three ways: in memory, as a filter on the
+matched row (:meth:`holds`, which
+:meth:`~repro.rewriting.rewriter.RewrittenQuery.answers` calls once per
+distinct row of a complete match), as a first-order formula
 (:meth:`formula`, for the paper-faithful ``Q'``), and as SQL (rendered
 by :mod:`repro.rewriting.sqlgen`).
 
@@ -37,18 +39,18 @@ plan with the fact pinned at the relevant body occurrence
 (:meth:`~repro.compile.kernel.CompiledConstraint.has_violation_at`), so
 residue checking, constraint checking and the incremental tracker share
 one compiled definition of the violation conditions and can never
-drift.
+drift.  Each residue binds its compiled unit(s) once, when it is built,
+so a row check is one direct seeded run with no memo lookup.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.relational.domain import Constant, is_null
 from repro.relational.instance import DatabaseInstance
-from repro.compile.matchers import extend_match as _extend_match
-from repro.compile.matchers import match_atom as _shared_match_atom
+from repro.compile.kernel import CompiledConstraint, compiled_constraint
 from repro.constraints.atoms import Atom, Comparison, IsNullAtom
 from repro.constraints.ic import IntegrityConstraint, NotNullConstraint
 from repro.constraints.terms import Term, Variable, is_variable
@@ -83,47 +85,6 @@ class FreshVariables:
         return Variable(f"{self._prefix}{self._count}")
 
 
-#: Extend an assignment so an atom matches a row — the one unification
-#: routine shared with constraint checking and query answering (see
-#: :mod:`repro.compile.matchers`); ``null`` joins with itself, exactly
-#: as in the evaluation of ``|=_N``.
-extend_assignment = _extend_match
-
-#: Match an atom against a row from the empty assignment.
-match_atom = _shared_match_atom
-
-
-class RewriteIndexes:
-    """The per-evaluation context the residue evaluators run against.
-
-    Historically this class carried private per-residue witness indexes
-    and key-group lookups; the compiled delta plans of
-    :mod:`repro.compile.kernel` replaced both (they probe the
-    instance's own hash indexes), so the context reduces to the
-    instance handle every :meth:`Residue.holds` receives.
-    """
-
-    def __init__(self, instance: DatabaseInstance):
-        self.instance = instance
-
-
-def _participates(
-    instance: DatabaseInstance, constraint: IntegrityConstraint, occurrence: int, row: Row
-) -> bool:
-    """Does *row*, pinned at body *occurrence*, join a live violation?
-
-    One early-exit execution of the constraint's compiled seeded plan —
-    shared with the incremental tracker's delta maintenance, so the
-    violation conditions the residues negate are literally the ones the
-    repair search resolves.
-    """
-
-    from repro.compile.kernel import compiled_constraint
-
-    unit = compiled_constraint(constraint)
-    return unit.has_violation_at(instance, occurrence, row)  # type: ignore[union-attr]
-
-
 class _NoRelations:
     """A relation view with no rows (single-atom plans never probe it)."""
 
@@ -134,18 +95,6 @@ class _NoRelations:
 _NO_RELATIONS = _NoRelations()
 
 
-def check_violates(check: IntegrityConstraint, row: Row) -> bool:
-    """Does *row* violate the single-atom *check* under ``|=_N``?
-
-    Runs the check constraint's compiled seeded plan: the fact is pinned
-    at the only body occurrence, so the relevant-null guard and the
-    built-in disjunction (both resolved at compile time) decide the
-    answer without touching any relation.
-    """
-
-    return _participates(_NO_RELATIONS, check, 0, row)  # type: ignore[arg-type]
-
-
 # --------------------------------------------------------------------------- residues
 class Residue:
     """A certainty condition attached to one query atom."""
@@ -153,8 +102,8 @@ class Residue:
     #: The constraint the residue was derived from.
     constraint: object
 
-    def holds(self, row: Row, indexes: RewriteIndexes) -> bool:
-        """Does the condition hold for the fact *row* in the indexed instance?"""
+    def holds(self, row: Row, instance: DatabaseInstance) -> bool:
+        """Does the condition hold for the fact *row* of *instance*?"""
 
         raise NotImplementedError
 
@@ -192,7 +141,7 @@ class NotNullResidue(Residue):
 
     constraint: NotNullConstraint
 
-    def holds(self, row: Row, indexes: RewriteIndexes) -> bool:
+    def holds(self, row: Row, instance: DatabaseInstance) -> bool:
         return not is_null(row[self.constraint.position])
 
     def formula(self, terms: Sequence[Term], fresh: FreshVariables) -> Formula:
@@ -207,9 +156,16 @@ class CheckResidue(Residue):
     """The single-atom denial/check constraint does not fire on the fact."""
 
     constraint: IntegrityConstraint
+    unit: CompiledConstraint = field(init=False, repr=False, compare=False)
 
-    def holds(self, row: Row, indexes: RewriteIndexes) -> bool:
-        return not check_violates(self.constraint, row)
+    def __post_init__(self) -> None:
+        self.unit = compiled_constraint(self.constraint)  # type: ignore[assignment]
+
+    def holds(self, row: Row, instance: DatabaseInstance) -> bool:
+        # The fact is pinned at the only body occurrence, so the
+        # relevant-null guard and the built-in disjunction (both resolved
+        # at compile time) decide without touching any relation.
+        return not self.unit.has_violation_at(_NO_RELATIONS, 0, row)  # type: ignore[arg-type]
 
     def formula(self, terms: Sequence[Term], fresh: FreshVariables) -> Formula:
         return check_cert_formula(self.constraint, terms)
@@ -266,19 +222,23 @@ class FDResidue(Residue):
     """
 
     key: KeyInfo
+    units: Tuple[CompiledConstraint, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.units = tuple(compiled_constraint(fd.constraint) for fd in self.key.fds)  # type: ignore[misc]
 
     @property
     def constraint(self) -> object:  # type: ignore[override]
         return self.key.fds[0].constraint
 
-    def holds(self, row: Row, indexes: RewriteIndexes) -> bool:
+    def holds(self, row: Row, instance: DatabaseInstance) -> bool:
         # One compiled seeded run per FD of the key: a conflicting
         # partner is exactly a live violation with this row pinned at
         # the first body occurrence (the determinant join, the null
         # guards on determinant and dependent, and the equality
         # disjunct are all resolved in the compiled plan).
-        for fd in self.key.fds:
-            if _participates(indexes.instance, fd.constraint, 0, row):
+        for unit in self.units:
+            if unit.has_violation_at(instance, 0, row):
                 return False
         return True
 
@@ -319,8 +279,10 @@ class RICResidue(Residue):
     """The referential constraint is satisfied by the fact in ``D`` itself."""
 
     constraint: IntegrityConstraint
+    unit: CompiledConstraint = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        self.unit = compiled_constraint(self.constraint)  # type: ignore[assignment]
         body_atom = self.constraint.body[0]
         head_atom = self.constraint.head_atoms[0]
         positions = relevant_positions(self.constraint)
@@ -342,11 +304,11 @@ class RICResidue(Residue):
             if is_variable(head_atom.terms[p]) and head_atom.terms[p] not in body_vars
         )
 
-    def holds(self, row: Row, indexes: RewriteIndexes) -> bool:
+    def holds(self, row: Row, instance: DatabaseInstance) -> bool:
         # The fact satisfies the RIC in D itself iff it is not a live
         # dangling antecedent: one compiled seeded run, whose witness
         # probe replaces the hand-built per-residue witness index.
-        return not _participates(indexes.instance, self.constraint, 0, row)
+        return not self.unit.has_violation_at(instance, 0, row)
 
     def formula(self, terms: Sequence[Term], fresh: FreshVariables) -> Formula:
         body_atom = self.body_atom
@@ -403,13 +365,16 @@ class DenialResidue(Residue):
 
     constraint: IntegrityConstraint
     index: int
+    unit: CompiledConstraint = field(init=False, repr=False, compare=False)
 
-    def holds(self, row: Row, indexes: RewriteIndexes) -> bool:
+    def __post_init__(self) -> None:
+        self.unit = compiled_constraint(self.constraint)  # type: ignore[assignment]
+
+    def holds(self, row: Row, instance: DatabaseInstance) -> bool:
         # One compiled seeded run with the fact pinned at this body
         # occurrence: the remaining body atoms join through the
-        # instance's hash indexes (the interpreted version scanned every
-        # candidate relation per row).
-        return not _participates(indexes.instance, self.constraint, self.index, row)
+        # instance's hash indexes.
+        return not self.unit.has_violation_at(instance, self.index, row)
 
     def formula(self, terms: Sequence[Term], fresh: FreshVariables) -> Formula:
         atom = self.constraint.body[self.index]

@@ -35,10 +35,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.relational.domain import Constant
 from repro.relational.instance import DatabaseInstance
+from repro.compile import codegen as _codegen
+from repro.compile.kernel import compiled_query
 from repro.constraints.atoms import Atom
 from repro.constraints.ic import AnyConstraint, ConstraintSet
 from repro.constraints.terms import Variable, is_variable
@@ -49,7 +51,7 @@ from repro.logic.formula import (
     Formula,
     conjunction,
 )
-from repro.logic.queries import ConjunctiveQuery, FirstOrderQuery, Query, _comparisons_hold
+from repro.logic.queries import ConjunctiveQuery, FirstOrderQuery, Query
 from repro.rewriting.fragment import (
     FragmentAnalysis,
     RewritingUnsupportedError,
@@ -62,9 +64,7 @@ from repro.rewriting.residues import (
     FreshVariables,
     NotNullResidue,
     Residue,
-    RewriteIndexes,
     RICResidue,
-    extend_assignment,
 )
 
 
@@ -97,42 +97,52 @@ class RewrittenQuery:
     def answers(
         self, instance: DatabaseInstance, null_is_unknown: bool = False
     ) -> AnswerSet:
-        """The consistent answers, by one pass over the instance."""
+        """The consistent answers: the plain answers of ``Q'`` on *instance*.
 
-        indexes = RewriteIndexes(instance)
-        order = sorted(
-            range(len(self.atoms)),
-            key=lambda i: len(instance.tuples(self.atoms[i].atom.predicate)),
-        )
-        residue_cache: Dict[Tuple[int, Row], bool] = {}
-        bindings: List[Dict[Variable, Constant]] = [{}]
-        for index in order:
-            rewriting = self.atoms[index]
-            rows = instance.tuples(rewriting.atom.predicate)
-            extended: List[Dict[Variable, Constant]] = []
-            for binding in bindings:
-                for row in rows:
-                    candidate = extend_assignment(rewriting.atom, row, binding)
-                    if candidate is None:
-                        continue
-                    cache_key = (index, row)
-                    certain = residue_cache.get(cache_key)
-                    if certain is None:
-                        certain = all(
-                            residue.holds(row, indexes) for residue in rewriting.residues
-                        )
-                        residue_cache[cache_key] = certain
-                    if certain:
-                        extended.append(candidate)
-            bindings = extended
-            if not bindings:
-                return frozenset()
+        ``Q'`` runs on the compiled plan of the base query
+        (:func:`repro.compile.kernel.compiled_query`, memoised per
+        process), the same generated executor that answers every other
+        conjunctive query.  The residues act as per-atom row filters on
+        each complete match: ``rows[i]`` is the row matched by the
+        ``i``-th positive atom, and its residues run once per distinct
+        ``(i, row)``.  The base query's comparisons follow, exactly as in
+        :meth:`~repro.compile.kernel.CompiledQuery.answers`, so they only
+        see matches whose facts are all certain.
+        """
 
+        compiled = compiled_query(self.query)
+        plan = compiled.plan
+        slots: List[Constant] = [None] * compiled.n_slots  # type: ignore[list-item]
+        rows: List[Optional[Row]] = [None] * plan.n_atoms
+        # (body position, residues, per-row verdict cache) for every atom
+        # that carries a residue; residue-free atoms cost nothing here.
+        filters: List[Tuple[int, List[Residue], Dict[Row, bool]]] = [
+            (index, rewriting.residues, {})
+            for index, rewriting in enumerate(self.atoms)
+            if rewriting.residues
+        ]
+        comparisons = compiled.comparisons
+        head_slots = compiled.head_slots
         results: Set[Tuple[Constant, ...]] = set()
-        for binding in bindings:
-            if not _comparisons_hold(self.query.comparisons, binding, null_is_unknown):
+        for _ in _codegen.matcher(plan)(instance, slots, rows):
+            certain = True
+            for index, residues, verdicts in filters:
+                row = rows[index]
+                verdict = verdicts.get(row)  # type: ignore[arg-type]
+                if verdict is None:
+                    verdict = all(residue.holds(row, instance) for residue in residues)  # type: ignore[arg-type]
+                    verdicts[row] = verdict  # type: ignore[index]
+                if not verdict:
+                    certain = False
+                    break
+            if not certain:
                 continue
-            results.add(tuple(binding[v] for v in self.query.head_variables))
+            for check in comparisons:
+                if not check(slots, null_is_unknown):
+                    certain = False
+                    break
+            if certain:
+                results.add(tuple(slots[slot] for slot in head_slots))
         return frozenset(results)
 
     def holds(self, instance: DatabaseInstance, null_is_unknown: bool = False) -> bool:

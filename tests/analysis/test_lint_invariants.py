@@ -137,6 +137,39 @@ class TestINV006CodegenFreeInterpreters:
         assert rules_for("src/repro/compile/plans.py", source) == []
 
 
+class TestINV009OneRewritingJoinExecutor:
+    def test_private_matcher_imports_are_flagged(self):
+        for source in (
+            "import repro.compile.matchers\n",
+            "from repro.compile import matchers\n",
+            "from repro.compile.matchers import extend_match\n",
+            "from repro.compile.plans import iter_plan_matches\n",
+            "from repro.compile import extend_match\n",
+            "from repro.compile import iter_plan_matches\n",
+        ):
+            assert rules_for("src/repro/rewriting/rewriter.py", source) == ["INV009"], source
+
+    def test_relative_imports_are_resolved(self):
+        source = "from ..compile.matchers import match_atom\n"
+        assert rules_for("src/repro/rewriting/residues.py", source) == ["INV009"]
+
+    def test_the_compiled_plan_is_allowed(self):
+        source = (
+            "from repro.compile import codegen as _codegen\n"
+            "from repro.compile.kernel import compiled_constraint, compiled_query\n"
+            "from repro.compile.plans import JoinPlan\n"
+        )
+        assert rules_for("src/repro/rewriting/rewriter.py", source) == []
+
+    def test_other_packages_may_use_the_matchers(self):
+        source = "from repro.compile.matchers import extend_match\n"
+        assert rules_for("src/repro/logic/queries.py", source) == []
+
+    def test_pragma_opts_a_line_out(self):
+        source = "from repro.compile.matchers import extend_match  # lint: allow(INV009) reason\n"
+        assert rules_for("src/repro/rewriting/residues.py", source) == []
+
+
 class TestINV005NoPrint:
     def test_print_in_library_code_is_flagged(self):
         assert rules_for("src/repro/core/x.py", "print('hi')\n") == ["INV005"]
@@ -257,6 +290,6 @@ class TestRepository:
         out = capsys.readouterr().out
         for rule in (
             "INV001", "INV002", "INV003", "INV004", "INV005", "INV006", "INV007",
-            "INV008",
+            "INV008", "INV009",
         ):
             assert rule in out

@@ -33,7 +33,10 @@ class TestSharedMatcher:
 
         assert satisfaction._match_atom is extend_match
         assert queries._match is extend_match
-        assert residues.extend_assignment is extend_match
+        # The rewriting joins through the compiled query plan, so its
+        # residues module carries no matcher alias of its own.
+        assert not hasattr(residues, "extend_assignment")
+        assert not hasattr(residues, "match_atom")
 
     def test_null_joins_with_itself(self):
         x = _v("x")

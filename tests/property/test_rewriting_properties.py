@@ -7,6 +7,12 @@ foreign key, and NOT-NULL — are swept with a pool of supported queries;
 of them, and ``method="auto"`` must never raise.  The instances are tiny
 so that exhaustive repair enumeration stays cheap while still exercising
 nulls, dangling references and key conflicts simultaneously.
+
+A second sweep covers the query shapes the compiled join of ``Q'`` must
+get right beyond plain projections: comparisons under both null
+conventions, constants inside atoms, same-predicate self-joins (where a
+residue list read at the wrong body position shows) and queries over a
+multi-atom denial set and a check + RIC set.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -58,6 +64,29 @@ SUPPORTED_QUERIES = [
     parse_query("ans(u) <- S(u, v), R(v, y)"),
 ]
 
+#: One multi-atom denial across both relations.
+DENIAL = ConstraintSet([parse_constraint("R(x, y), S(y, z) -> false")])
+
+#: A single-atom check next to a RIC on the same antecedent.
+CHECK_AND_RIC = ConstraintSet(
+    [parse_constraint("S(u, v) -> u != v"), parse_constraint("S(u, v) -> R(v, y)")]
+)
+
+SHAPED_CONSTRAINT_SETS = {"key-fk-nnc": CONSTRAINTS, "denial": DENIAL, "check-ric": CHECK_AND_RIC}
+
+#: Comparisons, constants in atoms, self-joins and cross-relation joins.
+SHAPED_QUERIES = [
+    parse_query("ans(x, y) <- R(x, y), y != 'a'"),
+    parse_query("ans(u, v) <- S(u, v), u = v"),
+    parse_query("ans(u, v) <- S(u, v), v > 'a'"),
+    parse_query("ans(x) <- R(x, 'a')"),
+    parse_query("ans(u, v, w) <- S(u, v), S(w, v)"),
+    parse_query("ans(u, w) <- S(u, v), S(w, v)"),
+    parse_query("ans(x, y) <- R(x, y), R(y, x)"),
+    parse_query("ans(u, v, y) <- S(u, v), R(v, y)"),
+    parse_query("ans(x, y, z) <- R(x, y), S(y, z)"),
+]
+
 VALUES = st.sampled_from(["a", "b", NULL])
 
 
@@ -94,6 +123,40 @@ class TestRewritingAgreesWithEnumeration:
             assert rewritten.answers(instance) == consistent_answers(
                 instance, KEY_ONLY, query
             ), query
+
+    @common_settings
+    @given(small_instances())
+    def test_shaped_queries_agree_with_direct(self, instance):
+        for name, constraints in SHAPED_CONSTRAINT_SETS.items():
+            for query in SHAPED_QUERIES:
+                try:
+                    rewritten = rewrite_query(query, constraints)
+                except RewritingUnsupportedError:
+                    continue  # only the orphan self-join under the denial
+                for null_is_unknown in (False, True):
+                    expected = consistent_answers(
+                        instance,
+                        constraints,
+                        query,
+                        method="direct",
+                        null_is_unknown=null_is_unknown,
+                    )
+                    got = rewritten.answers(instance, null_is_unknown=null_is_unknown)
+                    assert got == expected, (name, query, null_is_unknown)
+
+    def test_shaped_queries_are_in_the_fragment(self):
+        """Every shaped query rewrites under every set but one refusal."""
+
+        refused = []
+        for name, constraints in SHAPED_CONSTRAINT_SETS.items():
+            for query in SHAPED_QUERIES:
+                try:
+                    rewrite_query(query, constraints)
+                except RewritingUnsupportedError as error:
+                    refused.append((name, str(query), error.clause))
+        assert refused == [
+            ("denial", str(SHAPED_QUERIES[5]), "non-answer-variable-in-denial")
+        ]
 
     @common_settings
     @given(small_instances())

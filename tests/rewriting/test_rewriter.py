@@ -211,3 +211,81 @@ class TestRenderings:
         query_group = parse_query("ans(x) <- R(x, y)")
         assert rewrite_query(query_pinned, [KEY]).atoms[0].mode == "key-pinned"
         assert rewrite_query(query_group, [KEY]).atoms[0].mode == "key-group"
+
+
+class TestCompiledJoin:
+    """``Q'`` runs on the compiled query plan; residues filter complete matches."""
+
+    def test_residues_run_only_on_complete_matches(self, monkeypatch):
+        from repro.rewriting import residues
+
+        calls = []
+        for cls in (residues.FDResidue, residues.RICResidue, residues.NotNullResidue):
+            original = cls.holds
+
+            def counted(self, row, instance, _original=original):
+                calls.append(row)
+                return _original(self, row, instance)
+
+            monkeypatch.setattr(cls, "holds", counted)
+        constraints = [
+            KEY,
+            parse_constraint("S(u, v) -> R(v, w)"),
+            parse_constraint("R(x, y), isnull(x) -> false"),
+        ]
+        # Every S row dangles and no S row joins an R row, so the base
+        # join is empty even though both relations have rows that carry
+        # residues.
+        instance = DatabaseInstance.from_dict(
+            {"R": [("a", "b"), ("a", "c")], "S": [("s1", "z"), ("s2", NULL)]}
+        )
+        query = parse_query("ans(u, v, y) <- S(u, v), R(v, y)")
+        rewritten = rewrite_query(query, constraints)
+        assert all(rewriting.residues for rewriting in rewritten.atoms)
+        assert rewritten.answers(instance) == frozenset()
+        assert calls == []
+        # With a joining pair the residues do run, once per distinct row.
+        joined = DatabaseInstance.from_dict({"R": [("a", "b")], "S": [("s1", "a"), ("s2", "a")]})
+        assert rewritten.answers(joined) == {("s1", "a", "b"), ("s2", "a", "b")}
+        assert sorted(calls) == sorted(
+            [("s1", "a"), ("s2", "a")]  # the RIC on S
+            + [("a", "b")] * 2  # the key and the NOT NULL on R
+        )
+
+    def test_a_fresh_session_compiles_nothing(self):
+        from repro import ConsistentDatabase
+        from repro.compile.codegen import codegen_statistics
+        from repro.compile.kernel import compiler_statistics
+
+        instance, constraints = foreign_key_workload(
+            n_parents=6, n_children=10, violation_ratio=0.3, null_ratio=0.2, seed=5
+        )
+        query = parse_query("ans(c, q) <- Child(c, p, d), Parent(p, q)")
+        first = ConsistentDatabase(instance, constraints).consistent_answers(
+            query, method="rewriting"
+        )
+        before = compiler_statistics().snapshot()
+        plans_before = codegen_statistics().plans_generated
+        second = ConsistentDatabase(instance, constraints).consistent_answers(
+            query, method="rewriting"
+        )
+        assert second == first
+        assert compiler_statistics() == before
+        assert codegen_statistics().plans_generated == plans_before
+
+    def test_a_cancelled_budget_stops_the_join(self):
+        from repro.errors import QueryCancelledError
+        from repro.resilience import Budget, using_budget
+
+        instance = DatabaseInstance.from_dict(
+            {"S": [("a", "b"), ("c", "d")], "T": [("b", "e"), ("d", "f")]}
+        )
+        query = parse_query("ans(u, w) <- S(u, v), T(v, w)")
+        rewritten = rewrite_query(query, [KEY])
+        assert not any(rewriting.residues for rewriting in rewritten.atoms)
+        assert rewritten.answers(instance) == {("a", "e"), ("c", "f")}
+        budget = Budget()
+        budget.cancel()
+        with using_budget(budget):
+            with pytest.raises(QueryCancelledError):
+                rewritten.answers(instance)

@@ -41,6 +41,11 @@ INV008    no unreferenced definitions: a function, class or method under
           (the engine and source registries register through decorators)
           are exempt; ``@property``/``@staticmethod``/``@classmethod``
           do not count as registration
+INV009    one join executor for the rewriting: nothing under
+          ``src/repro/rewriting/`` imports ``repro.compile.matchers`` or
+          ``repro.compile.plans.iter_plan_matches`` — ``Q'`` joins through
+          the compiled query plan, so a private bindings × rows loop
+          cannot grow back
 ========  ====================================================================
 
 A line may opt out with the pragma comment ``lint: allow(INVxxx)`` and a
@@ -70,6 +75,7 @@ RULES: Dict[str, str] = {
     "INV006": "codegen-free module imports repro.compile.codegen",
     "INV007": "os.environ/os.getenv under src/repro outside the switch owners",
     "INV008": "function/class/method under src/repro referenced nowhere else",
+    "INV009": "rewriting module imports a private matcher instead of the compiled plan",
 }
 
 CLOCK_OWNER = "src/repro/obs/clock.py"
@@ -122,6 +128,19 @@ ENV_OWNERS = frozenset(
     }
 )
 ENV_NAMES = frozenset({"environ", "environb", "getenv"})
+#: The rewriting package, which joins only through the compiled query plan.
+REWRITING_PACKAGE = "src/repro/rewriting/"
+#: The dotted names a rewriting module must not import (INV009), with the
+#: ``repro.compile`` package re-exports of the same routines.
+PRIVATE_MATCHERS = frozenset(
+    {
+        "repro.compile.matchers",
+        "repro.compile.plans.iter_plan_matches",
+        "repro.compile.extend_match",
+        "repro.compile.match_atom",
+        "repro.compile.iter_plan_matches",
+    }
+)
 #: CLI front ends whose job is to print.
 PRINT_ALLOWED = frozenset(
     {
@@ -202,6 +221,18 @@ def _resolve_import_from(rel_path: str, node: ast.ImportFrom) -> Optional[str]:
     if node.module:
         anchor = anchor + node.module.split(".")
     return ".".join(anchor) if anchor else None
+
+
+def _imported_names(rel_path: str, node: ast.AST) -> List[str]:
+    """Every dotted name an import statement binds (module and members)."""
+
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        base = _resolve_import_from(rel_path, node)
+        if base is not None:
+            return [base] + [f"{base}.{alias.name}" for alias in node.names]
+    return []
 
 
 def check_source(rel_path: str, source: str) -> List[Violation]:
@@ -323,17 +354,10 @@ def check_source(rel_path: str, source: str) -> List[Violation]:
 
         # INV006 — codegen-free interpreters
         if rel_path in CODEGEN_FREE_MODULES and not allowed(node, "INV006"):
-            imported = []
-            if isinstance(node, ast.Import):
-                imported = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                base = _resolve_import_from(rel_path, node)
-                if base is not None:
-                    imported = [base] + [f"{base}.{alias.name}" for alias in node.names]
             if any(
                 name == "repro.compile.codegen"
                 or name.startswith("repro.compile.codegen.")
-                for name in imported
+                for name in _imported_names(rel_path, node)
             ):
                 violations.append(
                     Violation(
@@ -344,6 +368,23 @@ def check_source(rel_path: str, source: str) -> List[Violation]:
                         "the interpreter is the oracle the generated "
                         "executors are validated against — the dependency "
                         "must only point codegen → interpreter",
+                    )
+                )
+
+        # INV009 — one join executor for the rewriting
+        if rel_path.startswith(REWRITING_PACKAGE) and not allowed(node, "INV009"):
+            if any(
+                name in PRIVATE_MATCHERS or name.startswith("repro.compile.matchers.")
+                for name in _imported_names(rel_path, node)
+            ):
+                violations.append(
+                    Violation(
+                        "INV009",
+                        rel_path,
+                        node.lineno,
+                        "rewriting module imports a private matcher; evaluate "
+                        "Q' through the compiled query plan "
+                        "(repro.compile.kernel.compiled_query + codegen.matcher)",
                     )
                 )
 
