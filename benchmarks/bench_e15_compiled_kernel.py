@@ -11,12 +11,10 @@ and null guards) — the executor every consumer runs.
 
 This experiment sweeps the grouped-key workload (the E11/E12 scaling
 instance: ``n_groups`` key-conflict groups over two FDs) and times the
-violation-enumeration hot path three ways:
+violation-enumeration hot path two ways:
 
-* **full kernel** — ``all_violations(instance, constraints)`` (the
-  default: compiled plans run by generated executors);
-* **plan interp** — ``codegen.overridden(False)``: the step
-  interpreter over compiled plans (the pre-codegen default);
+* **full kernel** — ``all_violations(instance, constraints)`` (compiled
+  plans run by generated executors);
 * **naive** — ``all_violations(..., naive=True)`` (the reference
   oracle: unindexed nested loops that never touch the kernel).
 
@@ -24,10 +22,9 @@ A second table does the same for conjunctive-query answering
 (``ConjunctiveQuery.answers``), a third replays the repair search to
 pin the end-to-end contract, and a fourth replays the mixed
 :func:`harness.corpus_workload` (the pinned explorer corpus plus seeded
-random scenarios — small, adversarial, null-heavy) across every
-backend.
+random scenarios — small, adversarial, null-heavy) through both paths.
 
-**Identity assertions always run** (smoke mode included): all three
+**Identity assertions always run** (smoke mode included): both
 violation paths return the same violation sets at every sweep point,
 all query paths the same answer sets, and the repair engine built on
 the kernel (``incremental``, the frontier search) returns repair lists
@@ -94,21 +91,16 @@ def report(request):
         def _sweep_full():
             return all_violations(instance, constraints)
 
-        def _sweep_plan():
-            with codegen.overridden(False):
-                return all_violations(instance, constraints)
-
         def _sweep_naive():
             return all_violations(instance, constraints, naive=True)
 
         full = _sweep_full()
         # The hard guarantee, asserted in smoke mode too: identical
-        # violation sets (and no duplicates) on every backend.
-        assert set(full) == set(_sweep_plan()) == set(_sweep_naive())
+        # violation sets (and no duplicates) on both paths.
+        assert set(full) == set(_sweep_naive())
         assert len(full) == len(set(full))
 
         t_full = _best_of(_sweep_full, 12)
-        t_plan = _best_of(_sweep_plan, 12)
         t_naive = _best_of(_sweep_naive, 2)
         naive_speedup = t_naive / t_full if t_full else float("inf")
         gate_naive_speedup = naive_speedup  # the sweep is ascending: last point gates
@@ -117,7 +109,6 @@ def report(request):
                 n_groups,
                 len(full),
                 f"{t_naive * 1000:.1f} ms",
-                f"{t_plan * 1000:.2f} ms",
                 f"{t_full * 1000:.2f} ms",
                 f"{naive_speedup:.1f}x",
             ]
@@ -136,7 +127,6 @@ def report(request):
         "key groups",
         "violations",
         "naive",
-        "plan interp",
         "full kernel",
         "naive/kernel",
     ]
@@ -150,8 +140,6 @@ def report(request):
     for query in queries:
         compiled_answers = query.answers(instance)
         assert compiled_answers == query.answers(instance, naive=True)
-        with codegen.overridden(False):
-            assert compiled_answers == query.answers(instance)
         t_compiled = _best_of(lambda: query.answers(instance), 12)
         t_naive = _best_of(lambda: query.answers(instance, naive=True), 2)
         query_rows.append(
@@ -188,7 +176,7 @@ def report(request):
     # ------------------------------------------------------------- corpus
     # The mixed corpus workload: every pinned explorer witness plus a
     # handful of seeded random scenarios — null-heavy, adversarial
-    # shapes the grouped-key generator never produces.  Every backend
+    # shapes the grouped-key generator never produces.  Kernel and naive
     # must agree on violations and on query answers, case by case.
     corpus_rows = []
     for case in corpus_workload():
@@ -196,14 +184,8 @@ def report(request):
         assert set(case_violations) == set(
             all_violations(case.instance, case.constraints, naive=True)
         )
-        with codegen.overridden(False):
-            assert set(case_violations) == set(
-                all_violations(case.instance, case.constraints)
-            )
         case_answers = case.query.answers(case.instance)
         assert case_answers == case.query.answers(case.instance, naive=True)
-        with codegen.overridden(False):
-            assert case_answers == case.query.answers(case.instance)
         corpus_rows.append(
             [
                 case.name,
@@ -216,7 +198,7 @@ def report(request):
             ]
         )
     print_table(
-        "E15d: all backends agree on the corpus workload",
+        "E15d: kernel and naive agree on the corpus workload",
         ["case", "source", "facts", "ICs", "violations", "answers", "agree"],
         corpus_rows,
     )
@@ -240,20 +222,6 @@ def bench_compiled_violation_enumeration(benchmark):
     instance, constraints = _workload(25)
     all_violations(instance, constraints)  # compile + warm indexes
     result = benchmark(all_violations, instance, constraints)
-    assert result
-
-
-def bench_plan_interpreter_violation_enumeration(benchmark):
-    """The compiled kernel with codegen disabled (the step interpreter)."""
-
-    instance, constraints = _workload(25)
-
-    def run():
-        with codegen.overridden(False):
-            return all_violations(instance, constraints)
-
-    run()
-    result = benchmark(run)
     assert result
 
 

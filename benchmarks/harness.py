@@ -94,7 +94,7 @@ def corpus_workload(
     the list up with *n_random* :func:`repro.workloads.random_scenario`
     cases derived from *seed*.  Deterministic for fixed arguments, so a
     benchmark sweeping this workload measures the same cases on every
-    run; E15 uses it to check the execution backends agree beyond the
+    run; E15 uses it to check the kernel and naive paths agree beyond the
     synthetic grouped-key instances.
     """
 

@@ -1,58 +1,36 @@
-"""Per-plan code generation: specialize each :class:`JoinPlan` to source.
+"""Per-plan code generation: the one executor of every :class:`JoinPlan`.
 
-The interpreter of :func:`repro.compile.plans.iter_plan_matches` pays a
-per-row price for its generality — attribute loads on the current
-:class:`~repro.compile.plans.AtomStep`, inner loops over ``eq``/
-``writes``/``guard`` tuples, a probe ``dict`` rebuilt per descent.  This
-module eliminates that dispatch by emitting a *specialized Python
-generator* per plan: the step schedule unrolls into nested ``for``
-loops, constants and slot indices become literals, the null guards
-inline to identity checks, and constant-only probes hoist to
-module-level dicts.  The generated source is ``compile()``d once and
-cached on the plan object itself, which lives in the process-wide
-compile memo next to :class:`repro.compile.kernel.CompiledConstraint`
-— so every engine and every session in the process shares one build.
+Each plan is specialised to a *Python generator* of its own: the step
+schedule unrolls into nested ``for`` loops, constants and slot indices
+become literals, the null guards inline to identity checks, and
+constant-only probes hoist to module-level dicts — no per-row dispatch
+on the :class:`~repro.compile.plans.AtomStep` fields.  The generated
+source is ``compile()``d once and cached on the plan object itself,
+which lives in the process-wide compile memo next to
+:class:`repro.compile.kernel.CompiledConstraint` — so every engine and
+every session in the process shares one build.
 
-The contract is *exactly* :func:`iter_plan_matches`: same signature
-(minus the leading plan), same yields in the same order, same per-
-descent budget checkpoints, same seed/initial handling.  The property
-suite pins ``codegen == interpreted`` on every workload; the reference
-interpreter itself must never import this module (lint rule INV006),
-so the cross-validation cannot become circular.
-
-Generated code is the only production executor.  :func:`overridden`
-is the one hook back to the interpreter: tests and benchmark E15 scope
-``overridden(False)`` to run the reference step interpreter through the
-same kernel entry points.
+The ambient request budget is checked once per join *descent*, so a
+plan with a single step never checks: one probe bounds its work.  The
+property suite (``tests/property/test_codegen_equivalence.py``) pins
+generated code against the kernel-free ``naive=True`` oracle.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Tuple,
-)
+from typing import Any, Callable, Dict, Iterator, List, Tuple
 
-from repro.compile.plans import JoinPlan, Relations, Row, iter_plan_matches
-from repro.constraints.terms import Variable
+from repro.compile.plans import JoinPlan
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.relational.domain import NULL, Constant
 from repro.resilience import budget as _budget
 
-#: A plan executor: the generated generator function (or the interpreter
-#: partially applied to its plan).  Yields once per match, writing the
-#: caller-owned ``slots``/``rows`` arrays exactly like
-#: :func:`iter_plan_matches`.
+#: A plan executor ``(relations, slots, rows, seed_row=None,
+#: initial_values=None)``: yields once per match, with the caller-owned
+#: ``slots``/``rows`` arrays (reused across matches) holding it; a seed
+#: or pre-bound-value mismatch yields nothing.
 PlanExecutor = Callable[..., Iterator[None]]
 
 _EMPTY_PROBE: Dict[int, Constant] = {}
@@ -64,13 +42,10 @@ _CODEGEN_SOURCE_BYTES = _metrics.counter(
     "repro_codegen_source_bytes_total", "bytes of generated plan source compiled"
 )
 
-#: Attribute names used to cache executors on the (frozen) plan objects.
+#: Attribute name used to cache the executor on the (frozen) plan object.
 #: ``object.__setattr__`` writes through the frozen dataclass guard; the
-#: attributes never participate in equality or hashing.
+#: attribute never participates in equality or hashing.
 _GENERATED_ATTR = "_codegen_executor"
-_INTERPRETED_ATTR = "_codegen_fallback"
-
-_ENABLED = True
 
 
 @dataclass
@@ -90,46 +65,13 @@ def codegen_statistics() -> CodegenStatistics:
     return _STATISTICS
 
 
-def enabled() -> bool:
-    """Is plan code generation active for the current call?"""
-
-    return _ENABLED
-
-
-@contextmanager
-def overridden(on: Optional[bool]) -> Iterator[None]:
-    """Scoped enable/disable override; ``None`` leaves the state alone.
-
-    ``overridden(False)`` runs every plan through the reference step
-    interpreter :func:`~repro.compile.plans.iter_plan_matches` for the
-    duration of the block.
-    """
-
-    global _ENABLED
-    if on is None:
-        yield
-        return
-    previous = _ENABLED
-    _ENABLED = on
-    try:
-        yield
-    finally:
-        _ENABLED = previous
-
-
 def matcher(plan: JoinPlan) -> PlanExecutor:
-    """The executor for *plan*: generated, or interpreted under ``overridden(False)``.
+    """The generated executor for *plan*, built on first use.
 
-    Both variants are cached on the plan object, so the steady-state
-    cost of this call is one flag check and one ``__dict__`` probe.
+    The executor is cached on the plan object, so the steady-state cost
+    of this call is one ``__dict__`` probe.
     """
 
-    if not enabled():
-        fallback = plan.__dict__.get(_INTERPRETED_ATTR)
-        if fallback is None:
-            fallback = partial(iter_plan_matches, plan)
-            object.__setattr__(plan, _INTERPRETED_ATTR, fallback)
-        return fallback  # type: ignore[no-any-return]
     executor = plan.__dict__.get(_GENERATED_ATTR)
     if executor is None:
         executor = _build(plan)
@@ -144,11 +86,7 @@ def generated_source(plan: JoinPlan) -> str:
     render real generated sources through this.
     """
 
-    executor = plan.__dict__.get(_GENERATED_ATTR)
-    if executor is None:
-        executor = _build(plan)
-        object.__setattr__(plan, _GENERATED_ATTR, executor)
-    return getattr(executor, "__repro_source__")  # type: ignore[no-any-return]
+    return getattr(matcher(plan), "__repro_source__")  # type: ignore[no-any-return]
 
 
 # --------------------------------------------------------------------- emitter
@@ -207,7 +145,7 @@ def _emit_row_checks(
     guard: Tuple[int, ...],
     reject: str,
 ) -> None:
-    """The shared per-row body: arity, eq, writes, guards (interpreter order)."""
+    """The shared per-row body: arity, eq, writes, guards (in that order)."""
 
     out.put(depth, f"if len({row}) != {arity}:")
     out.put(depth + 1, reject)
@@ -287,9 +225,8 @@ def _generate(plan: JoinPlan) -> Tuple[str, Dict[str, Any]]:
     for index, step in enumerate(steps):
         depth = index
         if index > 0:
-            # Mirror the interpreter: one budget checkpoint per join
-            # *descent* — after a row matched at the enclosing depth,
-            # before the next iterator opens.
+            # One budget checkpoint per join *descent*: it bounds a
+            # runaway cross product without taxing the per-row loop.
             out.put(depth, "if _budget:")
             out.put(depth + 1, "_budget.checkpoint()")
         row = f"_r{index}"

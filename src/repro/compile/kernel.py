@@ -249,7 +249,7 @@ def _value_spec(
 
     ``None`` (the whole spec) marks a variable without a slot — an
     unbound comparison variable, which can never be satisfied (mirrors
-    the interpreter's "not ground" :class:`BuiltinEvaluationError`).
+    the naive reference's "not ground" :class:`BuiltinEvaluationError`).
     """
 
     if is_variable(term):
@@ -308,7 +308,7 @@ def compile_query_comparison(
     False (SQL), otherwise null supports (in)equality only; genuinely
     incomparable non-null values still raise
     :class:`~repro.constraints.atoms.BuiltinEvaluationError`, exactly
-    like the interpreter.
+    like the naive reference.
     """
 
     op = comparison.op
@@ -317,7 +317,7 @@ def compile_query_comparison(
     right_spec = _value_spec(comparison.right, var_slots)
     if left_spec is None or right_spec is None:
         # Unreachable for safe queries (every comparison variable occurs
-        # in a positive atom); mirror the interpreter's hard failure.
+        # in a positive atom); mirror the naive reference's hard failure.
         def unbound(slots: Sequence[Constant], null_is_unknown: bool) -> bool:
             raise BuiltinEvaluationError(f"comparison {comparison!r} is not ground")
 
@@ -509,12 +509,11 @@ class CompiledConstraint:
     ) -> Iterator[None]:
         """Body matches that survive the built-in and witness conditions.
 
-        *matches* is any plan-match iterator over caller-owned arrays —
-        the code-generated executor or the step interpreter.  The
-        relevant-null guard already ran inside the join (pushed down to
-        the binding step); the remaining ``|=_N`` conditions run here, in
-        the interpreter's order: built-in disjunction, then head-atom
-        witnesses.
+        *matches* is the generated executor's match iterator over
+        caller-owned arrays.  The relevant-null guard already ran inside
+        the join (pushed down to the binding step); the remaining
+        ``|=_N`` conditions run here, cheapest first: built-in
+        disjunction, then head-atom witness probes.
         """
 
         comparisons = self.comparisons

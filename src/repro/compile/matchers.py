@@ -1,13 +1,13 @@
-"""The one atom-matching routine shared by every evaluator.
+"""The one dict-based atom-matching routine of the reference evaluators.
 
-Constraint checking (:mod:`repro.core.satisfaction`), conjunctive-query
-answering (:mod:`repro.logic.queries`) and the rewriting residues
-(:mod:`repro.rewriting.residues`) all need the same primitive: extend a
-variable assignment so that an atom matches a concrete row, failing on a
-constant mismatch or an inconsistent repeated variable.  Those modules
-used to carry private copies of the routine; they now share this one, so
-the null/constant/repeated-variable semantics can never drift between
-the layers:
+The ``naive=True`` paths of constraint checking
+(:mod:`repro.core.satisfaction`) and conjunctive-query answering
+(:mod:`repro.logic.queries`) — the oracle the compiled kernel is checked
+against — need the same primitive: extend a variable assignment so that
+an atom matches a concrete row, failing on a constant mismatch or an
+inconsistent repeated variable.  They share this one routine, so the
+null/constant/repeated-variable semantics can never drift between the
+two, and the module stays kernel-free (lint rule INV004):
 
 * ``null`` is an **ordinary constant** — it matches a ``null`` term and
   joins with itself across occurrences of a variable, exactly as in the
@@ -18,8 +18,9 @@ the layers:
 
 The compiled kernel of :mod:`repro.compile.kernel` specialises the same
 semantics at compile time (constants, repeated variables and slot
-assignments are resolved once per constraint/query instead of per row);
-the property suite pins the two against each other on every scenario.
+assignments are resolved once per constraint/query instead of per row,
+then :mod:`repro.compile.codegen` emits them as generated code); the
+property suites pin the two against each other on every scenario.
 """
 
 from __future__ import annotations

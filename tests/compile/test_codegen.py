@@ -1,13 +1,15 @@
-"""repro.compile.codegen: generated executors, caching and the enable gates."""
+"""repro.compile.codegen: generated executors, caching, cancellation, naive agreement."""
 
 import pytest
 
 from repro.compile import codegen
 from repro.compile.kernel import compiled_constraint, compiled_query
-from repro.compile.plans import iter_plan_matches
 from repro.constraints.parser import parse_constraint, parse_query
+from repro.core.satisfaction import violations
+from repro.errors import QueryCancelledError
 from repro.relational.domain import NULL
-from repro.relational.instance import DatabaseInstance
+from repro.relational.instance import DatabaseInstance, Fact
+from repro.resilience import Budget, using_budget
 
 
 FD = "Emp(e, d, s), Emp(e, f, t) -> d = f"
@@ -37,19 +39,14 @@ def _run(plan, executor, instance, seed_row=None):
     ]
 
 
-class TestEnableGates:
-    def test_overridden_is_scoped_and_restores(self):
-        assert codegen.enabled()
-        with codegen.overridden(False):
-            assert not codegen.enabled()
-            with codegen.overridden(True):
-                assert codegen.enabled()
-            assert not codegen.enabled()
-        assert codegen.enabled()
+def _violating_pairs(matches):
+    """The body-fact pairs of FD matches whose built-in ``d = f`` fails."""
 
-    def test_overridden_none_is_a_no_op(self):
-        with codegen.overridden(None):
-            assert codegen.enabled()
+    return {
+        (Fact("Emp", first), Fact("Emp", second))
+        for _, (first, second) in matches
+        if first[1] != second[1]
+    }
 
 
 class TestMatcherCaching:
@@ -58,14 +55,6 @@ class TestMatcherCaching:
         first = codegen.matcher(plan)
         assert codegen.matcher(plan) is first
         assert hasattr(first, "__repro_source__")
-
-    def test_disabled_matcher_is_the_interpreter(self):
-        plan = compiled_constraint(parse_constraint(FD)).full_plan
-        with codegen.overridden(False):
-            fallback = codegen.matcher(plan)
-            assert codegen.matcher(plan) is fallback
-        assert fallback.func is iter_plan_matches
-        assert fallback.args == (plan,)
 
     def test_statistics_count_each_plan_once(self):
         constraint = parse_constraint("Uniq(u, v), Uniq(u, w) -> v = w")
@@ -85,7 +74,7 @@ class TestGeneratedSource:
         assert source.startswith("def _plan_matches(")
         # Two body atoms unroll to two nested loops over the same relation.
         assert source.count("in _tm(") == 2
-        # One budget checkpoint per join descent, like the interpreter.
+        # One budget checkpoint per join descent.
         assert "_budget.checkpoint()" in source
         assert "yield" in source
 
@@ -102,40 +91,91 @@ class TestGeneratedSource:
 
 
 class TestExecutorEquivalence:
-    def test_full_plan_matches_the_interpreter(self):
-        plan = compiled_constraint(parse_constraint(FD)).full_plan
-        instance = _instance()
-        generated = _run(plan, codegen.matcher(plan), instance)
-        interpreted = _run(
-            plan, lambda *a, **k: iter_plan_matches(plan, *a, **k), instance
-        )
-        assert generated == interpreted
-        assert generated  # the instance has an FD conflict
+    """Each match's ``rows`` against the ``naive=True`` oracle."""
 
-    def test_seed_plans_match_the_interpreter(self):
-        unit = compiled_constraint(parse_constraint(FD))
+    def test_full_plan_rows_are_the_naive_violations(self):
+        constraint = parse_constraint(FD)
+        plan = compiled_constraint(constraint).full_plan
         instance = _instance()
-        for seed_plan in unit.seed_plans.values():
+        matches = _run(plan, codegen.matcher(plan), instance)
+        naive = {v.body_facts for v in violations(instance, constraint, naive=True)}
+        assert _violating_pairs(matches) == naive
+        assert naive  # the instance has an FD conflict
+        # The relevant-attribute guard rejects the null department in the join.
+        assert all(NULL not in row for _, rows in matches for row in rows)
+
+    def test_seed_plans_rows_are_the_naive_violations(self):
+        constraint = parse_constraint(FD)
+        unit = compiled_constraint(constraint)
+        instance = _instance()
+        naive = violations(instance, constraint, naive=True)
+        for index, seed_plan in unit.seed_plans.items():
             for fact in instance.facts():
-                generated = _run(
+                matches = _run(
                     seed_plan, codegen.matcher(seed_plan), instance, seed_row=fact.values
                 )
-                interpreted = _run(
-                    seed_plan,
-                    lambda *a, **k: iter_plan_matches(seed_plan, *a, **k),
-                    instance,
-                    seed_row=fact.values,
-                )
-                assert generated == interpreted
+                assert all(rows[index] == fact.values for _, rows in matches)
+                assert _violating_pairs(matches) == {
+                    v.body_facts for v in naive if v.body_facts[index] == fact
+                }
+
+    def test_query_plan_rows_are_the_naive_answers(self):
+        query = parse_query("ans(e, d) <- Emp(e, d, s)")
+        plan = compiled_query(query).plan
+        instance = _instance()
+        matches = _run(plan, codegen.matcher(plan), instance)
+        answers = {(row[0], row[1]) for _, (row,) in matches}
+        assert answers == query.answers(instance, naive=True)
+        assert ("c", NULL) in answers  # query plans carry no null guards
 
     def test_missing_relation_yields_nothing(self):
         plan = compiled_constraint(parse_constraint(FD)).full_plan
         empty = DatabaseInstance.from_dict({"Dept": [("sales",)]})
         assert _run(plan, codegen.matcher(plan), empty) == []
-        with codegen.overridden(False):
-            assert _run(plan, codegen.matcher(plan), empty) == []
 
     def test_seed_row_of_wrong_arity_yields_nothing(self):
         unit = compiled_constraint(parse_constraint(FD))
         seed_plan = unit.seed_plans[0]
         assert _run(seed_plan, codegen.matcher(seed_plan), _instance(), seed_row=("x",)) == []
+
+
+class TestCancellation:
+    """The ambient budget is checked once per join descent, and only there."""
+
+    INSTANCE = {
+        "P": [("a", "b"), ("c", "d")],
+        "R": [("b", "e"), ("d", "f")],
+        "T": [("e", "g")],
+    }
+
+    @staticmethod
+    def _cancelled():
+        budget = Budget()
+        budget.cancel()
+        return using_budget(budget)
+
+    def test_a_full_sweep_stops_at_its_first_descent(self):
+        plan = compiled_constraint(parse_constraint("P(x, y), R(y, z) -> false")).full_plan
+        instance = DatabaseInstance.from_dict(self.INSTANCE)
+        assert len(_run(plan, codegen.matcher(plan), instance)) == 2
+        with self._cancelled():
+            with pytest.raises(QueryCancelledError):
+                _run(plan, codegen.matcher(plan), instance)
+
+    def test_a_seeded_plan_that_descends_stops(self):
+        unit = compiled_constraint(parse_constraint("P(x, y), R(y, z), T(z, w) -> false"))
+        instance = DatabaseInstance.from_dict(self.INSTANCE)
+        seed = Fact("P", ("a", "b"))
+        assert len(list(unit.seeded_violations(instance, seed))) == 1
+        with self._cancelled():
+            with pytest.raises(QueryCancelledError):
+                list(unit.seeded_violations(instance, seed))
+
+    def test_a_one_step_seeded_plan_never_descends_so_never_checks(self):
+        # Documented contract: the checkpoint runs only before a descent,
+        # so a seeded plan with one remaining step is bounded by one probe.
+        unit = compiled_constraint(parse_constraint("P(x, y), R(y, z) -> false"))
+        instance = DatabaseInstance.from_dict(self.INSTANCE)
+        seed = Fact("P", ("a", "b"))
+        with self._cancelled():
+            assert len(list(unit.seeded_violations(instance, seed))) == 1

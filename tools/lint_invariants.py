@@ -18,17 +18,17 @@ INV003    no broad exception handlers (bare ``except`` / ``except Exception``
           / ``except BaseException``) in the hot evaluation paths — they
           swallow the typed budget/cancellation errors the resilience layer
           depends on
-INV004    kernel-free reference paths: the naive/interpreted modules that
-          cross-validate the compiled kernel must never import
-          ``repro.compile`` — otherwise the bit-identical property suites
-          would be circular
+INV004    kernel-free reference paths: the naive modules that cross-validate
+          the compiled kernel, and the dict-based matcher they share
+          (``repro.compile.matchers``), must never import ``repro.compile``
+          (absolute or relative imports alike) — otherwise the
+          bit-identical property suites would be circular
 INV005    no ``print()`` under ``src/repro`` outside the CLI front ends —
           library output goes through tracing/metrics
-INV006    codegen-free interpreters: the reference modules *and* the plan
-          step interpreter (``repro.compile.plans`` / ``matchers``) must
-          never import ``repro.compile.codegen`` — the interpreter is the
-          oracle the generated executors are cross-validated against, so
-          the dependency must only ever point codegen → interpreter
+INV006    retired: it kept the plan step interpreter codegen-free while
+          that interpreter was the oracle for generated code; generated
+          code is now the only plan executor, checked against the
+          ``naive=True`` paths that INV004 keeps kernel-free
 INV007    environment-switch ownership: no ``os.environ`` / ``os.getenv``
           under ``src/repro`` outside the modules that own the remaining
           switches (``obs/trace.py``, ``resilience/faults.py``,
@@ -42,10 +42,9 @@ INV008    no unreferenced definitions: a function, class or method under
           are exempt; ``@property``/``@staticmethod``/``@classmethod``
           do not count as registration
 INV009    one join executor for the rewriting: nothing under
-          ``src/repro/rewriting/`` imports ``repro.compile.matchers`` or
-          ``repro.compile.plans.iter_plan_matches`` — ``Q'`` joins through
-          the compiled query plan, so a private bindings × rows loop
-          cannot grow back
+          ``src/repro/rewriting/`` imports ``repro.compile.matchers`` —
+          ``Q'`` joins through the compiled query plan, so a private
+          bindings × rows loop cannot grow back
 ========  ====================================================================
 
 A line may opt out with the pragma comment ``lint: allow(INVxxx)`` and a
@@ -72,7 +71,6 @@ RULES: Dict[str, str] = {
     "INV003": "broad exception handler in a hot evaluation path",
     "INV004": "reference (kernel-free) module imports repro.compile",
     "INV005": "print() in library code under src/repro",
-    "INV006": "codegen-free module imports repro.compile.codegen",
     "INV007": "os.environ/os.getenv under src/repro outside the switch owners",
     "INV008": "function/class/method under src/repro referenced nowhere else",
     "INV009": "rewriting module imports a private matcher instead of the compiled plan",
@@ -90,10 +88,12 @@ HOT_PATHS = (
     "src/repro/core/satisfaction.py",
     "src/repro/core/repairs.py",
 )
-#: The deliberately kernel-free naive/interpreted reference paths that the
-#: bit-identical property suites cross-validate the compiled kernel against.
+#: The deliberately kernel-free naive reference paths that the
+#: bit-identical property suites cross-validate the compiled kernel
+#: against, and the dict-based matcher their ``naive=True`` joins share.
 REFERENCE_MODULES = frozenset(
     {
+        "src/repro/compile/matchers.py",
         "src/repro/logic/evaluation.py",
         "src/repro/core/classic.py",
         "src/repro/core/semantics.py",
@@ -104,18 +104,6 @@ REFERENCE_MODULES = frozenset(
         "src/repro/asp/stable.py",
         "src/repro/asp/shift.py",
         "src/repro/asp/syntax.py",
-    }
-)
-#: Modules that must never import the generated-executor path: every
-#: kernel-free reference module, plus the plan step interpreter itself —
-#: ``codegen.matcher`` falls back to (and is cross-validated against)
-#: ``iter_plan_matches``, so an interpreter → codegen import would make
-#: that oracle circular.
-CODEGEN_FREE_MODULES = REFERENCE_MODULES | frozenset(
-    {
-        "src/repro/compile/plans.py",
-        "src/repro/compile/matchers.py",
-        "src/repro/relational/columnar.py",
     }
 )
 #: The modules that own the library's environment switches:
@@ -135,10 +123,8 @@ REWRITING_PACKAGE = "src/repro/rewriting/"
 PRIVATE_MATCHERS = frozenset(
     {
         "repro.compile.matchers",
-        "repro.compile.plans.iter_plan_matches",
         "repro.compile.extend_match",
         "repro.compile.match_atom",
-        "repro.compile.iter_plan_matches",
     }
 )
 #: CLI front ends whose job is to print.
@@ -203,9 +189,9 @@ def _resolve_import_from(rel_path: str, node: ast.ImportFrom) -> Optional[str]:
     """The absolute dotted module an ``ImportFrom`` targets, or ``None``.
 
     Relative imports are resolved against the importing file's package so
-    ``from . import codegen`` inside ``src/repro/compile/plans.py`` is seen
-    as ``repro.compile`` (and its ``codegen`` alias as
-    ``repro.compile.codegen``).  Files outside ``src/`` cannot anchor a
+    ``from ..compile import kernel`` inside ``src/repro/core/classic.py``
+    is seen as ``repro.compile`` (and its ``kernel`` alias as
+    ``repro.compile.kernel``).  Files outside ``src/`` cannot anchor a
     relative import, so those return ``None``.
     """
 
@@ -335,39 +321,18 @@ def check_source(rel_path: str, source: str) -> List[Violation]:
 
         # INV004 — kernel-free reference modules
         if rel_path in REFERENCE_MODULES and not allowed(node, "INV004"):
-            imported: List[str] = []
-            if isinstance(node, ast.Import):
-                imported = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.module is not None:
-                imported = [node.module]
-            if any(name == "repro.compile" or name.startswith("repro.compile.") for name in imported):
+            if any(
+                name == "repro.compile" or name.startswith("repro.compile.")
+                for name in _imported_names(rel_path, node)
+            ):
                 violations.append(
                     Violation(
                         "INV004",
                         rel_path,
                         node.lineno,
-                        "reference module imports repro.compile; the naive and "
-                        "interpreted paths must stay kernel-free so the "
-                        "bit-identical cross-validation is never circular",
-                    )
-                )
-
-        # INV006 — codegen-free interpreters
-        if rel_path in CODEGEN_FREE_MODULES and not allowed(node, "INV006"):
-            if any(
-                name == "repro.compile.codegen"
-                or name.startswith("repro.compile.codegen.")
-                for name in _imported_names(rel_path, node)
-            ):
-                violations.append(
-                    Violation(
-                        "INV006",
-                        rel_path,
-                        node.lineno,
-                        "codegen-free module imports repro.compile.codegen; "
-                        "the interpreter is the oracle the generated "
-                        "executors are validated against — the dependency "
-                        "must only point codegen → interpreter",
+                        "reference module imports repro.compile; the naive "
+                        "paths must stay kernel-free so the bit-identical "
+                        "cross-validation is never circular",
                     )
                 )
 
