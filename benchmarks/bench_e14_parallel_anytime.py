@@ -176,7 +176,7 @@ def report(request):
     search = ParallelRepairSearch(
         instance, constraints, max_states=5_000_000, chunk_states=50
     )
-    stream = AnytimeRepairStream(search, schema=instance.schema)
+    stream = AnytimeRepairStream(search)
     streamed = list(stream)
     assert stream.ordered_repairs == reference
     assert {r.fact_set() for r in streamed} == {r.fact_set() for r in reference}
@@ -244,18 +244,13 @@ def report(request):
             max_states=5_000_000,
             chunk_states=SHIP_CHUNK_STATES,
         )
-        first_paths = {}
-        for batch in search.batches():
-            for path, inserted, deleted in batch.candidates:
-                key = (inserted, deleted)
-                if key not in first_paths or path < first_paths[key]:
-                    first_paths[key] = path
+        store = search.collect()
     finally:
         if previous_audit is None:
             del os.environ["REPRO_SHIP_AUDIT"]
         else:
             os.environ["REPRO_SHIP_AUDIT"] = previous_audit
-    assert len(first_paths) >= len(reference)
+    assert len(store) >= len(reference)
     ship = search.statistics
     assert ship.tasks_shipped > 0 and ship.task_ship_bytes > 0
     ship_ratio = ship.task_ship_bytes_raw / ship.task_ship_bytes
@@ -307,7 +302,7 @@ def bench_anytime_first_repair(benchmark):
         search = ParallelRepairSearch(
             instance, constraints, max_states=5_000_000, chunk_states=50
         )
-        iterator = iter(AnytimeRepairStream(search, schema=instance.schema))
+        iterator = iter(AnytimeRepairStream(search))
         first = next(iterator)
         iterator.close()
         return first

@@ -38,16 +38,21 @@ identical to the depth-first order of the ``"naive"`` reference search:
   only through mixed resolution orders — so subtrees may overlap and
   the path-ordered dedup does the reconciliation instead.
 
-On top of the decomposition, :class:`AnytimeRepairStream` turns the
-search into an **anytime** enumeration: a candidate ``C`` is provably a
-repair *before the search finishes* once (a) no candidate found so far
-strictly ``≤_D``-dominates it and (b) no open frontier task could ever
-produce a dominator.  (b) is sound because a task's committed delta
-``∆_f`` (its inserted and deleted facts) is contained in the delta of
-every candidate below it: inserted facts are never deleted again and
-deleted facts never return, so if ``∆_f`` already contains a null-free
-atom outside ``∆(D, C)`` — or a null atom with no cover in ``∆(D, C)``
-(Definition 6(b)) — nothing below ``f`` can be ``≤_D C``.
+Every batch the search yields lands in one :class:`FrontierCandidates`
+store, the only place a candidate delta becomes a repair: it keeps each
+delta at its least path, decides ``≤_D``-minimality and builds each
+repair instance at most once.  Both consumers read from it —
+:meth:`ParallelRepairSearch.collect` (behind ``RepairEngine``) and
+:class:`AnytimeRepairStream`, which turns the search into an **anytime**
+enumeration: a candidate ``C`` is provably a repair *before the search
+finishes* once (a) no candidate found so far strictly ``≤_D``-dominates
+it and (b) no open frontier task could ever produce a dominator.  (b)
+is sound because a task's committed delta ``∆_f`` (its inserted and
+deleted facts) is contained in the delta of every candidate below it:
+inserted facts are never deleted again and deleted facts never return,
+so if ``∆_f`` already contains a null-free atom outside ``∆(D, C)`` —
+or a null atom with no cover in ``∆(D, C)`` (Definition 6(b)) —
+nothing below ``f`` can be ``≤_D C``.
 """
 
 from __future__ import annotations
@@ -89,6 +94,7 @@ from repro.core.repairs import (
     ViolationTracker,
     deletion_fixes,
     insertion_fixes,
+    minimal_flags_for_deltas,
     violation_choice_key,
 )
 from repro.relational import columnar as _columnar
@@ -315,11 +321,106 @@ def _decode_result(
 
 @dataclass
 class SearchBatch:
-    """One scheduler round: new results plus the still-open frontier."""
+    """One scheduler round: the still-open frontier once a task finished.
 
-    candidates: List[Candidate]
+    The task's candidates are already in the search's
+    :class:`FrontierCandidates` store when the batch is yielded.
+    """
+
     open_tasks: Tuple[FrontierTask, ...]
     states_explored: int  #: cumulative states across all finished tasks
+
+
+class FrontierCandidates:
+    """The search's candidates: deduplicated, ``≤_D``-settled, built once.
+
+    * :meth:`absorb` keeps each ``(inserted, deleted)`` pair once, at the
+      lexicographically least path it was reported with — the order a
+      single depth-first search first discovers it in (a candidate's fact
+      set determines its delta and vice versa, so delta-level dedup is
+      fact-level dedup);
+    * the deltas are indexed, in arrival order, in one
+      :class:`~repro.core.repairs.DeltaMinimality`, which the anytime
+      stream's mid-search proofs query through :meth:`dominated`;
+    * :meth:`settle` decides the final verdicts over the path-ordered
+      deltas through the production filter
+      :func:`~repro.core.repairs.minimal_flags_for_deltas` (sliced across
+      a process pool at ``workers >= 2``);
+    * :meth:`instance` builds ``(D ∖ deleted) ∪ inserted`` at most once
+      per candidate, so an instance the stream yielded early is the one
+      its final repair list holds.
+    """
+
+    def __init__(self, instance: DatabaseInstance, workers: int):
+        self._instance = instance
+        self._workers = workers
+        #: Every distinct candidate at its least path, in arrival order.
+        self.candidates: List[Candidate] = []
+        self._indices: Dict[Tuple[FrozenSet[Fact], FrozenSet[Fact]], int] = {}
+        self._minimality = DeltaMinimality()
+        self._settle_comparisons = 0
+        self._base_facts: Optional[FrozenSet[Fact]] = None
+        self._instances: Dict[int, DatabaseInstance] = {}
+
+    def __len__(self) -> int:
+        return len(self.candidates)
+
+    @property
+    def comparisons(self) -> int:
+        """Pairwise ``≤_D`` checks made by :meth:`dominated` and :meth:`settle`."""
+
+        return self._minimality.comparisons + self._settle_comparisons
+
+    def absorb(self, found: Iterable[Candidate]) -> None:
+        """Add a batch of candidates, keeping each at its least path."""
+
+        for path, inserted, deleted in found:
+            key = (inserted, deleted)
+            index = self._indices.get(key)
+            if index is None:
+                self._indices[key] = self._minimality.add(inserted | deleted)
+                self.candidates.append((path, inserted, deleted))
+            elif path < self.candidates[index][0]:
+                self.candidates[index] = (path, inserted, deleted)
+
+    def order(self) -> List[int]:
+        """Candidate indices in discovery (least-path) order."""
+
+        return sorted(range(len(self.candidates)), key=lambda i: self.candidates[i][0])
+
+    def delta(self, index: int) -> FrozenSet[Fact]:
+        """``∆(D, C)`` of the candidate at *index*."""
+
+        return self._minimality.deltas[index]
+
+    def dominated(self, index: int) -> bool:
+        """Is the candidate strictly ``<_D``-dominated by one absorbed so far?"""
+
+        return self._minimality.dominated(index)
+
+    def settle(self) -> List[int]:
+        """The ``≤_D``-minimal candidates' indices, in discovery order."""
+
+        order = self.order()
+        flags, comparisons = minimal_flags_for_deltas(
+            [self.delta(index) for index in order], self._workers
+        )
+        self._settle_comparisons += comparisons
+        return [index for index, keep in zip(order, flags) if keep]
+
+    def instance(self, index: int) -> DatabaseInstance:
+        """The candidate as an instance, built on first request."""
+
+        built = self._instances.get(index)
+        if built is None:
+            if self._base_facts is None:
+                self._base_facts = self._instance.fact_set()
+            _, inserted, deleted = self.candidates[index]
+            built = DatabaseInstance.from_facts(
+                (self._base_facts - deleted) | inserted, schema=self._instance.schema
+            )
+            self._instances[index] = built
+        return built
 
 
 class SearchContext:
@@ -634,7 +735,9 @@ class ParallelRepairSearch:
     over-cap search stops one state past it, like ``"naive"``.
 
     *seed_tracker* warm-starts the inline search context (see
-    :class:`SearchContext`); pool workers sweep on their own.
+    :class:`SearchContext`); pool workers sweep on their own.  Every
+    batch's candidates are absorbed into :attr:`store`, and
+    ``statistics.candidates_found`` counts the distinct ones.
     """
 
     def __init__(
@@ -678,6 +781,8 @@ class ParallelRepairSearch:
         #: and this record says why the rest was never explored.
         self.degradation: Optional[Degradation] = None
         self.statistics = RepairStatistics()
+        #: The candidates found so far (see :class:`FrontierCandidates`).
+        self.store = FrontierCandidates(instance, self._workers)
 
     def active_budget(self) -> Optional[Budget]:
         """The request budget the search answers to: the constructor's,
@@ -783,6 +888,8 @@ class ParallelRepairSearch:
             self.statistics.search_seconds = _clock.now() - started
             if result.spans:
                 _trace.attach(result.spans)
+            self.store.absorb(result.candidates)
+            self.statistics.candidates_found = len(self.store)
             del open_tasks[result.task.path]
             for sub_task in result.deferred:
                 open_tasks[sub_task.path] = sub_task
@@ -808,9 +915,7 @@ class ParallelRepairSearch:
                     f"repair search exceeded {self._max_states} states; "
                     "raise max_states or simplify the instance"
                 )
-            return SearchBatch(
-                result.candidates, tuple(open_tasks.values()), total_states
-            )
+            return SearchBatch(tuple(open_tasks.values()), total_states)
 
         def settle(reason: str) -> None:
             """Budget ran out with the frontier still open: degrade or raise."""
@@ -1043,39 +1148,26 @@ class ParallelRepairSearch:
                 pass
 
     # ------------------------------------------------------------------ collection
-    def collect(self) -> List[Tuple[Path, FrozenSet[Fact], FrozenSet[Fact]]]:
-        """Drain the search and return the candidates in discovery order.
-
-        Candidates are sorted by path and deduplicated keeping the
-        lexicographically least path per (inserted, deleted) pair —
-        exactly the order a single depth-first search first
-        discovers them in (a candidate's fact set determines its delta
-        and vice versa, so delta-level dedup is fact-level dedup).
+    def collect(self) -> FrontierCandidates:
+        """Drain the search into :attr:`store` and return it.
 
         Always strict: a degraded (partial) frontier would make the
-        returned list silently wrong — some repair might never have been
-        discovered and some non-minimal candidate never dominated — so
-        if the budget degraded mid-search this raises the typed error
+        store's repairs silently wrong — some repair might never have
+        been discovered and some non-minimal candidate never dominated —
+        so if the budget degraded mid-search this raises the typed error
         the strict mode would have.  Partial results only flow through
         :class:`AnytimeRepairStream`, whose per-repair proofs stay sound
         under truncation.
         """
 
-        first_paths: Dict[Tuple[FrozenSet[Fact], FrozenSet[Fact]], Path] = {}
-        for batch in self.batches():
-            for path, inserted, deleted in batch.candidates:
-                key = (inserted, deleted)
-                previous = first_paths.get(key)
-                if previous is None or path < previous:
-                    first_paths[key] = path
+        for _ in self.batches():
+            pass
         if self.degradation is not None:
             raise budget_error(
                 self.degradation.reason,
                 "repair search degraded mid-collection: " + self.degradation.render(),
             )
-        ordered = sorted(first_paths.items(), key=lambda item: item[1])
-        self.statistics.candidates_found = len(ordered)
-        return [(path, key[0], key[1]) for key, path in ordered]
+        return self.store
 
 
 # --------------------------------------------------------------------------- minimality
@@ -1150,35 +1242,25 @@ def frontier_could_dominate(
     return True
 
 
-@dataclass
-class _StreamCandidate:
-    path: Path
-    inserted: FrozenSet[Fact]
-    deleted: FrozenSet[Fact]
-    delta: FrozenSet[Fact]
-    #: The candidate's index in the stream's :class:`DeltaMinimality`.
-    index: int
-    yielded: bool = False
-    dominated: bool = False
-
-
 class AnytimeRepairStream:
     """Iterate repairs as they are *proven* ``≤_D``-minimal, mid-search.
 
     Wraps a :class:`ParallelRepairSearch` and yields each repair at the
-    earliest moment its minimality is certain: no discovered candidate
-    strictly dominates it, and :func:`frontier_could_dominate` clears
-    every open task.  When the search is exhausted the remaining
-    undecided candidates are settled against the same
-    :class:`~repro.core.repairs.DeltaMinimality` context the proofs
-    used, so the yielded set is always exactly the repair set — anytime
-    changes *when* each repair becomes available, never *which*.  Its
+    earliest moment its minimality is certain: no candidate in the
+    search's :class:`FrontierCandidates` store strictly dominates it,
+    and :func:`frontier_could_dominate` clears every open task.  When
+    the search is exhausted the store settles every candidate — the
+    yielded ones included, so a wrong certificate surfaces — and the
+    stream emits whatever was not proven early, so the yielded set is
+    always exactly the repair set: anytime changes *when* each repair
+    becomes available, never *which*.  The proofs' and the settle's
     pairwise checks land in ``statistics.leq_d_comparisons``.
 
     After exhaustion :attr:`ordered_repairs` holds the repairs in the
-    canonical discovery order (the order
-    ``RepairEngine.repairs`` returns), and :attr:`states_at_first_yield`
-    records how deep into the search the first proof landed.
+    canonical discovery order (the order ``RepairEngine.repairs``
+    returns, and the very instances yielded), and
+    :attr:`states_at_first_yield` records how deep into the search the
+    first proof landed.
 
     The search's request budget (see
     :meth:`ParallelRepairSearch.active_budget`) is also checked before
@@ -1187,12 +1269,8 @@ class AnytimeRepairStream:
     set, exactly as when the search itself runs out between tasks.
     """
 
-    def __init__(self, search: ParallelRepairSearch, schema=None):
+    def __init__(self, search: ParallelRepairSearch):
         self._search = search
-        self._schema = schema
-        self._base_facts = search._instance.fact_set()
-        #: Every discovered candidate's delta, in discovery order.
-        self._context = DeltaMinimality()
         self.ordered_repairs: Optional[List[DatabaseInstance]] = None
         self.states_at_first_yield: Optional[int] = None
         self.yields_before_completion = 0
@@ -1213,24 +1291,24 @@ class AnytimeRepairStream:
 
         return self._search.statistics
 
-    def _instance_for(self, entry: "_StreamCandidate") -> DatabaseInstance:
-        facts = (self._base_facts - entry.deleted) | entry.inserted
-        return DatabaseInstance.from_facts(facts, schema=self._schema)
+    def _first_yield(self) -> None:
+        if self.states_at_first_yield is None:
+            self.states_at_first_yield = self._search.statistics.states_explored
 
     def __iter__(self) -> Iterator[DatabaseInstance]:
-        pool: Dict[Tuple[FrozenSet[Fact], FrozenSet[Fact]], _StreamCandidate] = {}
-        search_complete = False
+        store = self._search.store
+        yielded: Set[int] = set()
+        refuted: Set[int] = set()
         budget = self._search.active_budget()
         stopped: Optional[str] = None
-        context = self._context
 
-        def provable(open_tasks: Sequence[FrontierTask]) -> Iterator[_StreamCandidate]:
+        def provable(open_tasks: Sequence[FrontierTask]) -> Iterator[int]:
             nonlocal stopped
-            for entry in list(pool.values()):
-                if entry.yielded or entry.dominated:
+            for index in range(len(store)):
+                if index in yielded or index in refuted:
                     continue
                 if budget is not None:
-                    # The proof pass is quadratic in the pool, so a large
+                    # The proof pass is quadratic in the store, so a large
                     # batch can outlast the deadline on its own: check
                     # the budget per candidate, not only between tasks.
                     stopped = budget.exhausted()
@@ -1238,47 +1316,29 @@ class AnytimeRepairStream:
                         if not budget.degrade:
                             raise budget.error(stopped)
                         return
-                dominated = context.dominated(entry.index)
-                self.statistics.leq_d_comparisons = context.comparisons
+                dominated = store.dominated(index)
+                self.statistics.leq_d_comparisons = store.comparisons
                 if dominated:
-                    entry.dominated = True
+                    refuted.add(index)
                     continue
+                candidate_delta = store.delta(index)
                 if any(
-                    frontier_could_dominate(task.delta(), entry.delta)
+                    frontier_could_dominate(task.delta(), candidate_delta)
                     for task in open_tasks
                 ):
                     continue
-                entry.yielded = True
-                if self.states_at_first_yield is None:
-                    self.states_at_first_yield = self._search.statistics.states_explored
-                if not search_complete:
-                    self.yields_before_completion += 1
-                yield entry
+                yielded.add(index)
+                self._first_yield()
+                self.yields_before_completion += 1
+                yield index
 
         batches = self._search.batches()
         try:
             for batch in batches:
-                for path, inserted, deleted in batch.candidates:
-                    key = (inserted, deleted)
-                    entry = pool.get(key)
-                    if entry is None:
-                        candidate_delta = inserted | deleted
-                        pool[key] = _StreamCandidate(
-                            path,
-                            inserted,
-                            deleted,
-                            candidate_delta,
-                            context.add(candidate_delta),
-                        )
-                    elif path < entry.path:
-                        entry.path = path
-                for entry in provable(batch.open_tasks):
-                    yield self._instance_for(entry)
+                for index in provable(batch.open_tasks):
+                    yield store.instance(index)
                 if stopped is not None:
-                    unproven = sum(
-                        not (entry.yielded or entry.dominated)
-                        for entry in pool.values()
-                    )
+                    unproven = len(store) - len(yielded) - len(refuted)
                     self.degradation = budget.degradation(
                         proven=self.yields_before_completion,
                         detail=(
@@ -1302,31 +1362,20 @@ class AnytimeRepairStream:
             )
             return
 
-        search_complete = True
-        # The search is exhausted: settle every candidate not already known
-        # dominated against the full context — yielded ones included, so a
-        # wrong certificate surfaces — and emit whatever was not proven
-        # early, in canonical discovery order.
-        ordered = sorted(pool.values(), key=lambda entry: entry.path)
-        for entry in ordered:
-            if not entry.dominated:
-                entry.dominated = context.dominated(entry.index)
-        self.statistics.leq_d_comparisons = context.comparisons
-        self.ordered_repairs = []
-        for entry in ordered:
-            if entry.dominated:
-                if entry.yielded:
-                    raise AssertionError(
-                        "anytime certificate yielded a non-minimal candidate "
-                        f"(delta {sorted(map(repr, entry.delta))}); this is a bug"
-                    )
-                continue
-            repair = self._instance_for(entry)
-            self.ordered_repairs.append(repair)
-            if not entry.yielded:
-                entry.yielded = True
-                if self.states_at_first_yield is None:
-                    self.states_at_first_yield = (
-                        self._search.statistics.states_explored
-                    )
+        minimal = store.settle()
+        self.statistics.leq_d_comparisons = store.comparisons
+        wrong = yielded.difference(minimal)
+        if wrong:
+            raise AssertionError(
+                "anytime certificate yielded a non-minimal candidate "
+                f"(delta {sorted(map(repr, store.delta(min(wrong))))}); this is a bug"
+            )
+        repairs: List[DatabaseInstance] = []
+        for index in minimal:
+            repair = store.instance(index)
+            repairs.append(repair)
+            if index not in yielded:
+                yielded.add(index)
+                self._first_yield()
                 yield repair
+        self.ordered_repairs = repairs

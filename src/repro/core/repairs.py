@@ -33,7 +33,7 @@ import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.relational.domain import Constant, NULL, constant_sort_key, is_null
 from repro.relational.instance import DatabaseInstance, Fact
@@ -57,6 +57,9 @@ from repro.core.satisfaction import (
     row_witnesses_atom,
     witness_positions,
 )
+
+if TYPE_CHECKING:
+    from repro.core.parallel import FrontierCandidates
 
 
 # --------------------------------------------------------------------------- ≤_D
@@ -658,10 +661,11 @@ class RepairEngine:
       one working instance whose violation set a
       :class:`ViolationTracker` maintains incrementally, split into
       bounded tasks executed inline (``workers <= 1``) or on a process
-      pool (``workers >= 2``).  Candidates come back as their
-      ``(inserted, deleted)`` deltas in discovery order, so
-      ``≤_D``-minimality is decided on the deltas and only the repairs
-      are ever materialised as instances;
+      pool (``workers >= 2``).  Candidates land as their
+      ``(inserted, deleted)`` deltas in the search's
+      :class:`~repro.core.parallel.FrontierCandidates` store, which
+      decides ``≤_D``-minimality on the deltas and materialises only the
+      repairs as instances — the same store the anytime stream uses;
     * ``"naive"`` — the independent reference oracle: full violation
       recomputation per state with unindexed nested-loop joins, one
       instance copy per branch, then the definitional pairwise ``≤_D``
@@ -747,7 +751,8 @@ class RepairEngine:
         with self._search_span():
             if self._method == "naive":
                 return self._candidates_recompute(instance)
-            return self._materialise(instance, self._search(instance, seed_tracker))
+            store = self._search(instance, seed_tracker)
+            return [store.instance(index) for index in store.order()]
 
     @contextmanager
     def _search_span(self) -> Iterator[None]:
@@ -833,8 +838,8 @@ class RepairEngine:
         self,
         instance: DatabaseInstance,
         seed_tracker: Optional[ViolationTracker],
-    ) -> List[Tuple[Tuple[int, ...], FrozenSet[Fact], FrozenSet[Fact]]]:
-        """Run the frontier search; candidates as (path, inserted, deleted)."""
+    ) -> "FrontierCandidates":
+        """Run the frontier search; its candidate store, fully collected."""
 
         from repro.core.parallel import DEFAULT_CHUNK_STATES, ParallelRepairSearch
 
@@ -852,20 +857,6 @@ class RepairEngine:
         finally:
             self.statistics.merge(search.statistics)
 
-    @staticmethod
-    def _materialise(
-        instance: DatabaseInstance,
-        found: Sequence[Tuple[Tuple[int, ...], FrozenSet[Fact], FrozenSet[Fact]]],
-    ) -> List[DatabaseInstance]:
-        """Build ``(D ∖ deleted) ∪ inserted`` for each found delta."""
-
-        schema = instance.schema
-        base_facts = instance.fact_set()
-        return [
-            DatabaseInstance.from_facts((base_facts - deleted) | inserted, schema=schema)
-            for _, inserted, deleted in found
-        ]
-
     def repairs(
         self,
         instance: DatabaseInstance,
@@ -873,12 +864,14 @@ class RepairEngine:
     ) -> List[DatabaseInstance]:
         """The ``≤_D``-minimal consistent candidates (Definition 7).
 
-        The frontier search decides minimality on the candidates'
-        deltas *before* any candidate instance is built, so only the
-        surviving repairs pay the O(|D|) materialisation and no
-        symmetric difference is ever recomputed.  ``"naive"`` filters
-        the materialised candidates with the definitional pairwise
-        :func:`leq_deltas`, independent of :class:`DeltaMinimality`.
+        The frontier search's candidate store
+        (:class:`~repro.core.parallel.FrontierCandidates`) decides
+        minimality on the candidates' deltas *before* any candidate
+        instance is built, so only the surviving repairs pay the O(|D|)
+        materialisation and no symmetric difference is ever recomputed.
+        ``"naive"`` filters the materialised candidates with the
+        definitional pairwise :func:`leq_deltas`, independent of
+        :class:`DeltaMinimality`.
         """
 
         if self._method == "naive":
@@ -888,16 +881,11 @@ class RepairEngine:
                 minimal, comparisons = _minimal_under_leq_d_counted(instance, candidates)
         else:
             with self._search_span():
-                found = self._search(instance, seed_tracker)
+                store = self._search(instance, seed_tracker)
             started = _clock.now()
-            with _trace.span("repair.minimality", candidates=len(found)):
-                flags, comparisons = minimal_flags_for_deltas(
-                    [inserted | deleted for _, inserted, deleted in found],
-                    self._workers,
-                )
-                minimal = self._materialise(
-                    instance, [entry for entry, keep in zip(found, flags) if keep]
-                )
+            with _trace.span("repair.minimality", candidates=len(store)):
+                minimal = [store.instance(index) for index in store.settle()]
+            comparisons = store.comparisons
         self.statistics.minimality_seconds = _clock.now() - started
         self.statistics.leq_d_comparisons = comparisons
         self.statistics.repairs_found = len(minimal)
@@ -953,14 +941,15 @@ class DeltaMinimality:
     """The production ``≤_D`` comparator over candidate deltas.
 
     Holds a growing list of ``∆(D, ·)`` sets; :meth:`add` appends one and
-    returns its index, so the anytime stream keeps one context for its
-    whole life and the batch filter builds one over all candidates.  On
-    first use as the left operand a delta is split into its null-free
-    part — condition (a) of Definition 6 is then one subset check — and
-    its null atoms.  Condition (b) looks each null atom up in the right
-    operand's cover table for the atom's (predicate, arity, non-null
-    positions) signature, built on first demand per candidate and per
-    signature.  :func:`leq_deltas` is the definition this must agree with.
+    returns its index, so the frontier's candidate store keeps one
+    context for the anytime stream's proofs and the batch filter builds
+    one over all candidates.  On first use as the left operand a delta
+    is split into its null-free part — condition (a) of Definition 6 is
+    then one subset check — and its null atoms.  Condition (b) looks
+    each null atom up in the right operand's cover table for the atom's
+    (predicate, arity, non-null positions) signature, built on first
+    demand per candidate and per signature.  :func:`leq_deltas` is the
+    definition this must agree with.
 
     Pool workers of the sliced filter rebuild identical contexts from
     the deltas alone and check disjoint index ranges.

@@ -191,11 +191,13 @@ class CQAEngine(ABC):
         """Anytime decision of "is *candidate* an answer in every repair?".
 
         An engine that can refute a candidate without materialising the
-        full answer set — the direct engine streams repairs from the
-        parallel frontier and stops at the first counterexample, the
-        rewriting engines are one polynomial pass anyway — overrides
-        this.  Returning ``None`` (the default) tells the session to
-        fall back to the ordinary :meth:`answers_report` route.
+        full answer set overrides this: the direct engine streams
+        repairs from the anytime frontier and stops at the first
+        counterexample, and ``auto`` delegates to the engine it plans.
+        Returning ``None`` (the default) tells the session to fall back
+        to the ordinary :meth:`answers_report` route — for the rewriting
+        and independent engines that is already one polynomial pass,
+        cached like any other report.
 
         Args:
             session: the owning session (cache + instance access).

@@ -17,7 +17,7 @@ itself.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING
 
 from repro.engines.base import CQAConfig, CQAEngine, register_engine
 from repro.obs import trace as _trace
@@ -76,33 +76,3 @@ class IndependentEngine(CQAEngine):
             method="independent",
             repair_count_estimated=True,
         )
-
-    def certain_anytime(
-        self,
-        session: "ConsistentDatabase",
-        query: "Query",
-        candidate: Optional[Tuple] = None,
-        config: Optional[CQAConfig] = None,
-    ) -> Optional[bool]:
-        """One plain evaluation pass — inherently anytime.
-
-        Routed through ``session.report`` so repeated anytime calls on
-        an unchanged database stay one cache probe, exactly like the
-        rewriting engine's anytime path.
-        """
-
-        config = config if config is not None else session.config
-        if candidate is None and not query.is_boolean:
-            return None
-        result = session.report(
-            query,
-            method="independent",
-            estimate_repairs=False,
-            null_is_unknown=config.null_is_unknown,
-            max_states=config.max_states,
-            repair_mode=config.repair_mode,
-            workers=config.workers,
-        )
-        if candidate is not None:
-            return tuple(candidate) in result.answers
-        return result.certain

@@ -57,39 +57,6 @@ class RewritingEngine(CQAEngine):
             repair_count_estimated=True,
         )
 
-    def certain_anytime(
-        self,
-        session: "ConsistentDatabase",
-        query: "Query",
-        candidate: Optional[Tuple] = None,
-        config: Optional[CQAConfig] = None,
-    ) -> Optional[bool]:
-        """One polynomial pass — the rewriting is inherently anytime.
-
-        No repairs exist to stream; the rewritten query is evaluated
-        once (without the repair-count estimate) and membership of the
-        candidate decides the answer immediately.  The evaluation goes
-        through ``session.report`` so repeated anytime calls on an
-        unchanged database stay one cache probe, exactly like their
-        non-anytime counterparts.
-        """
-
-        config = config if config is not None else session.config
-        if candidate is None and not query.is_boolean:
-            return None
-        result = session.report(
-            query,
-            method="rewriting",
-            estimate_repairs=False,
-            null_is_unknown=config.null_is_unknown,
-            max_states=config.max_states,
-            repair_mode=config.repair_mode,
-            workers=config.workers,
-        )
-        if candidate is not None:
-            return tuple(candidate) in result.answers
-        return result.certain
-
 
 @register_engine("auto")
 class AutoEngine(CQAEngine):

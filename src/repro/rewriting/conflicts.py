@@ -14,12 +14,9 @@ structure of the violations:
   endpoint, and each endpoint survives in some repair.
 
 :meth:`ConflictGraph.build` materialises the graph directly from the
-instance with per-shape fast paths — FD edges through the instance's
-cached key groupings, RIC marks through the compiled delta plans of the
-shared certainty residue (one early-exit
-:meth:`~repro.compile.kernel.CompiledConstraint.has_violation_at` run
-per fact), and everything else through the compiled violation
-enumeration — instead of the quadratic generic join;
+instance — FD edges through the instance's cached key groupings (a fast
+path that pays on keyed relations), everything else, RIC marks
+included, through the compiled violation enumeration;
 :meth:`ConflictGraph.from_sql` pushes the same work into SQLite through
 :func:`repro.sqlbackend.backend.violation_sql` for scale.  The two agree,
 and both agree with :func:`repro.core.satisfaction.violations`.
@@ -166,7 +163,7 @@ class ConflictGraph:
         instance: DatabaseInstance,
         constraints: Union[ConstraintSet, Iterable[AnyConstraint]],
     ) -> "ConflictGraph":
-        """Materialise the graph in memory, with per-shape fast paths."""
+        """Materialise the graph in memory, with an FD fast path."""
 
         marks: List[ConflictMark] = []
         edges: List[ConflictEdge] = []
@@ -177,9 +174,6 @@ class ConflictGraph:
             fd = fd_shape(constraint)
             if fd is not None:
                 _fd_edges(instance, constraint, fd.determinant, fd.dependent, edges)
-                continue
-            if constraint.is_referential:
-                _ric_marks(instance, constraint, marks)
                 continue
             _generic(instance, constraint, marks, edges)
         return cls(marks, edges)
@@ -286,22 +280,6 @@ def _fd_edges(
                             Fact(predicate, first), Fact(predicate, second), constraint
                         )
                     )
-
-
-def _ric_marks(
-    instance: DatabaseInstance,
-    constraint: IntegrityConstraint,
-    marks: List[ConflictMark],
-) -> None:
-    """Dangling antecedent facts, through the shared RIC certainty residue."""
-
-    from repro.rewriting.residues import RICResidue
-
-    residue = RICResidue(constraint)
-    predicate = constraint.body[0].predicate
-    for row in instance.tuples(predicate):
-        if not residue.holds(row, instance):
-            marks.append(ConflictMark(Fact(predicate, row), constraint, forced=False))
 
 
 def _generic(

@@ -1019,12 +1019,17 @@ class ConsistentDatabase:
         remaining frontier tasks.  The stream always runs the frontier
         search, whatever ``repair_mode`` says.
 
+        Like :meth:`repairs_list`, the search is warm-started from the
+        session's violation tracker, so a warm session pays no full
+        violation sweep per stream (inline search only — pool workers
+        sweep on their own).
+
         Note on budgets: ``max_states`` counts the *sum* of per-task
-        states and is checked as each task (chunk) finishes, exactly as
-        in a non-streaming enumeration.  On constraint sets with
-        consequent atoms the sum can exceed the ``"naive"`` search's
-        unique-state count, and a chunk may overshoot the cap by up to
-        its own size before the check fires.
+        states, exactly as in a non-streaming enumeration.  On
+        constraint sets with consequent atoms the sum can exceed the
+        ``"naive"`` search's unique-state count; each task's chunk is
+        clamped to the states left under the cap, so the search stops
+        one state past it.
 
         Args:
             config: the merged :class:`repro.engines.CQAConfig`;
@@ -1066,8 +1071,9 @@ class ConsistentDatabase:
             max_states=None if config.degrade else config.max_states,
             violation_index=self._violation_index,
             budget=budget,
+            seed_tracker=self._ensure_tracker(),
         )
-        stream = AnytimeRepairStream(search, schema=snapshot.schema)
+        stream = AnytimeRepairStream(search)
         self.last_degradation = None
         try:
             # The finally also covers *abandonment*: closing this generator

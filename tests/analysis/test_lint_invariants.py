@@ -154,6 +154,60 @@ class TestINV009OneRewritingJoinExecutor:
         assert rules_for("src/repro/rewriting/residues.py", source) == []
 
 
+class TestINV010OneRepairMaterialiser:
+    #: The shapes of the two repair builders the candidate store replaced.
+    ENGINE_SITE = (
+        "class RepairEngine:\n"
+        "    @staticmethod\n"
+        "    def build_all(instance, found):\n"
+        "        schema = instance.schema\n"
+        "        base_facts = instance.fact_set()\n"
+        "        return [\n"
+        "            DatabaseInstance.from_facts((base_facts - deleted) | inserted, schema=schema)\n"
+        "            for _, inserted, deleted in found\n"
+        "        ]\n"
+    )
+    STREAM_SITE = (
+        "class AnytimeRepairStream:\n"
+        "    def build_one(self, entry):\n"
+        "        facts = (self._base_facts - entry.deleted) | entry.inserted\n"
+        "        return DatabaseInstance.from_facts(facts, schema=self._schema)\n"
+    )
+    STORE = (
+        "class FrontierCandidates:\n"
+        "    def instance(self, index):\n"
+        "        _, inserted, deleted = self.candidates[index]\n"
+        "        return DatabaseInstance.from_facts(\n"
+        "            (self._base_facts - deleted) | inserted, schema=self._schema\n"
+        "        )\n"
+    )
+
+    def test_the_replaced_builders_are_flagged(self):
+        assert rules_for("src/repro/core/repairs.py", self.ENGINE_SITE) == ["INV010"]
+        assert rules_for("src/repro/core/parallel.py", self.STREAM_SITE) == ["INV010"]
+
+    def test_a_keyword_argument_is_flagged(self):
+        source = "DatabaseInstance.from_facts(facts=(base - gone) | new)\n"
+        assert rules_for("benchmarks/bench_x.py", source) == ["INV010"]
+
+    def test_the_store_is_the_one_builder(self):
+        assert rules_for("src/repro/core/parallel.py", self.STORE) == []
+        # The exemption is the store in its module, not the class name.
+        assert rules_for("src/repro/core/repairs.py", self.STORE) == ["INV010"]
+
+    def test_other_instance_builds_are_allowed(self):
+        source = (
+            "a = DatabaseInstance.from_facts(kept + added, schema=schema)\n"
+            "b = DatabaseInstance.from_facts(base - gone)\n"
+            "c = DatabaseInstance.from_facts(payload[1])\n"
+        )
+        assert rules_for("src/repro/core/repairs.py", source) == []
+
+    def test_pragma_opts_a_line_out(self):
+        source = "DatabaseInstance.from_facts((b - d) | i)  # lint: allow(INV010) reason\n"
+        assert rules_for("tests/core/test_x.py", source) == []
+
+
 class TestINV005NoPrint:
     def test_print_in_library_code_is_flagged(self):
         assert rules_for("src/repro/core/x.py", "print('hi')\n") == ["INV005"]
@@ -266,7 +320,7 @@ class TestSyntaxErrors:
 
 class TestRepository:
     def test_the_repo_is_invariant_clean(self):
-        violations = lint.check_paths(["src", "tests", "tools"], ROOT)
+        violations = lint.check_paths(["src", "tests", "tools", "benchmarks"], ROOT)
         assert violations == [], "\n".join(v.render() for v in violations)
 
     def test_cli_list_rules(self, capsys):
@@ -274,7 +328,7 @@ class TestRepository:
         out = capsys.readouterr().out
         for rule in (
             "INV001", "INV002", "INV003", "INV004", "INV005", "INV007", "INV008",
-            "INV009",
+            "INV009", "INV010",
         ):
             assert rule in out
         assert "INV006" not in out  # retired

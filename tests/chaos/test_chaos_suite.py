@@ -37,9 +37,16 @@ def make_rows(pairs=PAIRS):
     return {"Emp": [(f"e{i}", d) for i in range(pairs) for d in ("a", "b")]}
 
 
+def discovered(search):
+    """The search's distinct candidates, drained, in discovery order."""
+
+    store = search.collect()
+    return [store.candidates[index] for index in store.order()]
+
+
 def exact_candidates():
     instance = DatabaseInstance.from_dict(make_rows())
-    return ParallelRepairSearch(instance, [KEY], workers=0, chunk_states=8).collect()
+    return discovered(ParallelRepairSearch(instance, [KEY], workers=0, chunk_states=8))
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +77,7 @@ def run_schedule(seed: int, exact) -> None:
         search = ParallelRepairSearch(
             instance, [KEY], workers=2, chunk_states=8, retry_policy=FAST_RETRY
         )
-        got = search.collect()
+        got = discovered(search)
     assert got == exact, f"schedule {seed} changed the answer"
 
 

@@ -26,8 +26,15 @@ def make_instance(pairs=6):
     )
 
 
+def discovered(search):
+    """The search's distinct candidates, drained, in discovery order."""
+
+    store = search.collect()
+    return [store.candidates[index] for index in store.order()]
+
+
 def expected_candidates(instance):
-    return ParallelRepairSearch(instance, [KEY], workers=0, chunk_states=8).collect()
+    return discovered(ParallelRepairSearch(instance, [KEY], workers=0, chunk_states=8))
 
 
 #: Fast-backoff policy so fault tests do not sleep their way through CI.
@@ -56,7 +63,7 @@ class TestWorkerExceptions:
                 instance, [KEY], workers=2, chunk_states=8,
                 retry_policy=FAST_RETRY,
             )
-            got = search.collect()
+            got = discovered(search)
         assert got == expected
         assert_no_leaked_children()
 
@@ -72,7 +79,7 @@ class TestWorkerExceptions:
                 instance, [KEY], workers=2, chunk_states=8,
                 retry_policy=FAST_RETRY,
             )
-            got = search.collect()
+            got = discovered(search)
         assert got == expected
         assert_no_leaked_children()
 
@@ -86,7 +93,7 @@ class TestWorkerKills:
                 instance, [KEY], workers=2, chunk_states=8,
                 retry_policy=FAST_RETRY,
             )
-            got = search.collect()
+            got = discovered(search)
         assert got == expected
         assert_no_leaked_children()
 
@@ -102,7 +109,7 @@ class TestWorkerKills:
                 retry_policy=RetryPolicy(backoff_base=0.001, backoff_max=0.01,
                                          max_pool_respawns=1),
             )
-            got = search.collect()
+            got = discovered(search)
         assert got == expected
         assert_no_leaked_children()
 
@@ -117,7 +124,7 @@ class TestMixedChaos:
                 instance, [KEY], workers=2, chunk_states=8,
                 retry_policy=FAST_RETRY,
             )
-            got = search.collect()
+            got = discovered(search)
         assert got == expected
         assert_no_leaked_children()
 

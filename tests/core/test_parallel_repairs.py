@@ -17,6 +17,7 @@ from repro.constraints.ic import ConstraintSet
 from repro.constraints.parser import parse_constraint, parse_query
 from repro.core.parallel import (
     AnytimeRepairStream,
+    FrontierCandidates,
     FrontierTask,
     ParallelRepairSearch,
     exclusion_safe,
@@ -52,7 +53,8 @@ def frontier_repairs(instance, constraints, **kwargs):
 class TestBitIdenticalOutput:
     @pytest.mark.parametrize("chunk", [1, 3, 1024])
     def test_every_scenario_matches_naive_exactly(self, all_scenarios, chunk):
-        """Same repair *list* — contents and discovery order — per scenario."""
+        """Same repair *list* — contents and discovery order — per scenario,
+        from the engine and from a drained anytime stream alike."""
 
         for name, scenario in sorted(all_scenarios.items()):
             if not scenario.constraints.is_non_conflicting():
@@ -62,6 +64,13 @@ class TestBitIdenticalOutput:
                 scenario.instance, scenario.constraints, chunk_states=chunk
             )
             assert found == reference, f"scenario {name} diverged at chunk={chunk}"
+            stream = AnytimeRepairStream(
+                ParallelRepairSearch(
+                    scenario.instance, scenario.constraints, chunk_states=chunk
+                )
+            )
+            list(stream)
+            assert stream.ordered_repairs == reference, f"scenario {name} stream"
 
     @pytest.mark.parametrize("chunk", [5, 64])
     def test_grouped_key_workload_exclusion_partitioning(self, chunk):
@@ -145,6 +154,27 @@ class TestBitIdenticalOutput:
         with pytest.raises(RepairSearchBudgetExceeded):
             engine.repairs(instance)
         assert engine.statistics.states_explored == naive.statistics.states_explored
+
+
+class TestFrontierCandidates:
+    def test_keeps_each_delta_at_its_least_path_and_builds_it_once(self):
+        """A later, smaller path wins (pool batches arrive in any order)."""
+
+        sales, hr = Fact("Emp", ("e1", "sales")), Fact("Emp", ("e1", "hr"))
+        instance = DatabaseInstance.from_dict({"Emp": [sales.values, hr.values]})
+        none = frozenset()
+        store = FrontierCandidates(instance, 0)
+        store.absorb([((1,), none, frozenset({sales})), ((2,), none, frozenset({hr}))])
+        store.absorb([((0, 3), none, frozenset({hr})), ((1, 0), none, frozenset({sales}))])
+        assert len(store) == 2
+        assert [store.candidates[i] for i in store.order()] == [
+            ((0, 3), none, frozenset({hr})),
+            ((1,), none, frozenset({sales})),
+        ]
+        assert store.settle() == [1, 0]  # both minimal, in discovery order
+        repair = store.instance(1)
+        assert repair.fact_set() == frozenset({sales})
+        assert store.instance(1) is repair
 
 
 class TestHypothesisEquivalence:
@@ -262,7 +292,7 @@ class TestAnytimeStream:
         search = ParallelRepairSearch(
             instance, constraints, max_states=2_000_000, chunk_states=50
         )
-        stream = AnytimeRepairStream(search, schema=instance.schema)
+        stream = AnytimeRepairStream(search)
         streamed = list(stream)
         assert stream.ordered_repairs == reference
         assert {r.fact_set() for r in streamed} == {
@@ -271,12 +301,78 @@ class TestAnytimeStream:
         assert stream.yields_before_completion > 0
         assert stream.states_at_first_yield < search.statistics.states_explored
 
+    @pytest.mark.parametrize("chunk", [1024, 50])
+    def test_drained_stream_builds_each_repair_once(self, monkeypatch, chunk):
+        """The store materialises a repair once; ordered_repairs reuses it."""
+
+        instance, constraints = grouped_key_workload(5, 3, 40, seed=17)
+        built = []
+        from_facts = DatabaseInstance.from_facts.__func__
+
+        def counting(cls, facts, schema=None):
+            built.append(1)
+            return from_facts(cls, facts, schema=schema)
+
+        monkeypatch.setattr(DatabaseInstance, "from_facts", classmethod(counting))
+        search = ParallelRepairSearch(instance, constraints, chunk_states=chunk)
+        stream = AnytimeRepairStream(search)
+        streamed = list(stream)
+        assert len(streamed) == len(stream.ordered_repairs) == 243
+        assert len(built) == 243
+        assert {id(r) for r in streamed} == {id(r) for r in stream.ordered_repairs}
+        assert search.statistics.candidates_found == len(search.store) == 243
+
+    def test_pool_stream_settles_through_the_sliced_filter(self, monkeypatch):
+        """At workers >= 2 and >= 64 candidates the final settle is pooled."""
+
+        from repro.core import parallel
+
+        instance, constraints = grouped_key_workload(
+            n_groups=4, group_size=3, n_clean=4, seed=2
+        )
+        reference = RepairEngine(constraints).repairs(instance)
+        pooled = []
+        sliced = parallel._minimality_pool
+
+        def spy(deltas, workers):
+            pooled.append((len(deltas), workers))
+            return sliced(deltas, workers)
+
+        monkeypatch.setattr(parallel, "_minimality_pool", spy)
+        search = ParallelRepairSearch(instance, constraints, workers=2)
+        stream = AnytimeRepairStream(search)
+        streamed = list(stream)
+        assert pooled == [(81, 2)]
+        assert stream.ordered_repairs == reference
+        assert {r.fact_set() for r in streamed} == {r.fact_set() for r in reference}
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    @pytest.mark.parametrize("chunk", [None, 50])
+    @pytest.mark.parametrize("workload", ["grouped", "foreign_key"])
+    def test_stream_engine_and_naive_agree(self, workers, chunk, workload):
+        """Content and order: the two store consumers and the oracle."""
+
+        if workload == "grouped":
+            instance, constraints = grouped_key_workload(
+                n_groups=4, group_size=3, n_clean=4, seed=2
+            )
+        else:
+            instance, constraints = foreign_key_workload(
+                n_parents=4, n_children=7, violation_ratio=0.4, null_ratio=0.3, seed=1
+            )
+        options = {} if chunk is None else {"chunk_states": chunk}
+        engine = RepairEngine(constraints, workers=workers, **options).repairs(instance)
+        search = ParallelRepairSearch(instance, constraints, workers=workers, **options)
+        stream = AnytimeRepairStream(search)
+        list(stream)
+        assert engine == stream.ordered_repairs == naive_repairs(instance, constraints)
+
     def test_drained_stream_reports_its_leq_d_comparisons(self):
         instance, constraints = grouped_key_workload(
             n_groups=2, group_size=3, n_clean=3, seed=4
         )
         search = ParallelRepairSearch(instance, constraints, chunk_states=4)
-        stream = AnytimeRepairStream(search, schema=instance.schema)
+        stream = AnytimeRepairStream(search)
         assert len(list(stream)) == 9
         assert stream.statistics.leq_d_comparisons > 0
 
@@ -286,7 +382,7 @@ class TestAnytimeStream:
         )
         reference = RepairEngine(constraints).repairs(instance)
         search = ParallelRepairSearch(instance, constraints, chunk_states=6)
-        stream = AnytimeRepairStream(search, schema=instance.schema)
+        stream = AnytimeRepairStream(search)
         streamed = list(stream)
         assert stream.ordered_repairs == reference
         assert len(streamed) == len(reference)
@@ -300,7 +396,7 @@ class TestAnytimeStream:
         )
         constraints = [parse_constraint("Emp(e, d), Emp(e, f) -> d = f")]
         search = ParallelRepairSearch(instance, constraints, budget=budget)
-        return AnytimeRepairStream(search, schema=instance.schema)
+        return AnytimeRepairStream(search)
 
     def test_active_budget_prefers_the_constructor_budget(self):
         instance = DatabaseInstance.from_dict({"Emp": [("e1", "a")]})
@@ -421,17 +517,37 @@ class TestSessionSurface:
         held = parse_query("ans() <- Student(i, n)")
         assert db.certain(held, anytime=True) == db.certain(held)
 
-    def test_certain_anytime_through_auto_and_rewriting(self):
+    @pytest.mark.parametrize(
+        "method, held, refuted",
+        [
+            ("auto", ("ans(e) <- Emp(e, d)", ("e2",)), ("ans(d) <- Emp(e, d)", ("sales",))),
+            ("rewriting", ("ans(e) <- Emp(e, d)", ("e2",)), ("ans(d) <- Emp(e, d)", ("sales",))),
+            # independent answers only queries no constraint touches.
+            ("independent", ("ans(d) <- Dept(d)", ("hr",)), ("ans(d) <- Dept(d)", ("ops",))),
+        ],
+        ids=["auto", "rewriting", "independent"],
+    )
+    def test_certain_anytime_through_auto_and_rewriting(self, method, held, refuted):
+        """One evaluation, counted once, and a cache hit on the repeat."""
+
         db = ConsistentDatabase(
-            {"Emp": [("e1", "sales"), ("e1", "hr"), ("e2", "hr")]},
+            {
+                "Emp": [("e1", "sales"), ("e1", "hr"), ("e2", "hr")],
+                "Dept": [("sales",), ("hr",)],
+            },
             [KEY],
-            method="auto",
+            method=method,
         )
-        query = parse_query("ans(e) <- Emp(e, d)")
-        assert db.certain(query, ("e2",), anytime=True) is True
-        assert db.certain(query, ("e2",)) is True
-        open_refuted = parse_query("ans(d) <- Emp(e, d)")
-        assert db.certain(open_refuted, ("sales",), anytime=True) is False
+        query, candidate = parse_query(held[0]), held[1]
+        queries = db.statistics.queries
+        assert db.certain(query, candidate, anytime=True) is True
+        assert db.statistics.queries == queries + 1
+        hits = db.cache_info().hits
+        assert db.certain(query, candidate, anytime=True) is True
+        assert db.statistics.queries == queries + 2
+        assert db.cache_info().hits > hits
+        assert db.certain(query, candidate) is True
+        assert db.certain(parse_query(refuted[0]), refuted[1], anytime=True) is False
 
     def test_config_carries_workers_and_anytime(self):
         db = self.make_grouped(workers=3, anytime=True)

@@ -192,15 +192,10 @@ class TestEndToEndShipAccounting:
             instance, constraints, workers=2, chunk_states=4
         )
         try:
-            seen = set()
             for batch in search.batches():
-                seen.update(
-                    (path, frozenset(ins), frozenset(dele))
-                    for path, ins, dele in batch.candidates
-                )
                 if not batch.open_tasks:
                     break
-            assert seen  # the FD conflicts have repairs
+            assert len(search.store)  # the FD conflicts have repairs
             stats = search.statistics
             assert stats.tasks_shipped > 0
             assert stats.task_ship_bytes > 0

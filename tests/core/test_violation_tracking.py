@@ -212,3 +212,19 @@ class TestFrontierSearchAgainstOracle:
         assert sweeps.value == before
         assert result.repair_count == 27
         assert db.last_repair_statistics.violation_updates > 0
+
+    def test_warm_session_anytime_certain_runs_no_full_sweep(self):
+        """The stream warm-starts from the session tracker, like report()."""
+
+        instance, constraints = grouped_key_workload(
+            n_groups=3, group_size=3, n_clean=5, seed=0
+        )
+        db = ConsistentDatabase(instance, constraints, method="direct", workers=0)
+        db.is_consistent()  # builds the session's tracker: the one sweep
+        sweeps = metrics.counter("repro_tracker_sweeps_total")
+        before = sweeps.value
+        query = parse_query("ans(e) <- Emp(e, d, s)")
+        assert db.certain(query, ("e0",), anytime=True) is True
+        assert sweeps.value == before
+        assert db.last_repair_statistics.repairs_found == 27
+        assert db.last_repair_statistics.violation_updates > 0

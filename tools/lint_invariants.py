@@ -45,6 +45,11 @@ INV009    one join executor for the rewriting: nothing under
           ``src/repro/rewriting/`` imports ``repro.compile.matchers`` —
           ``Q'`` joins through the compiled query plan, so a private
           bindings × rows loop cannot grow back
+INV010    one repair materialiser: no ``from_facts(<a> - <b> | <c>)``-shaped
+          call (directly, or through a name bound to that expression)
+          outside ``FrontierCandidates`` in ``src/repro/core/parallel.py``
+          — the frontier's candidate store builds each repair
+          ``(D ∖ deleted) ∪ inserted`` once, for every consumer
 ========  ====================================================================
 
 A line may opt out with the pragma comment ``lint: allow(INVxxx)`` and a
@@ -74,6 +79,7 @@ RULES: Dict[str, str] = {
     "INV007": "os.environ/os.getenv under src/repro outside the switch owners",
     "INV008": "function/class/method under src/repro referenced nowhere else",
     "INV009": "rewriting module imports a private matcher instead of the compiled plan",
+    "INV010": "repair (D - deleted) | inserted materialised outside the candidate store",
 }
 
 CLOCK_OWNER = "src/repro/obs/clock.py"
@@ -127,6 +133,8 @@ PRIVATE_MATCHERS = frozenset(
         "repro.compile.match_atom",
     }
 )
+#: The one repair materialiser (INV010): this class of this module.
+STORE_OWNER = ("src/repro/core/parallel.py", "FrontierCandidates")
 #: CLI front ends whose job is to print.
 PRINT_ALLOWED = frozenset(
     {
@@ -219,6 +227,54 @@ def _imported_names(rel_path: str, node: ast.AST) -> List[str]:
         if base is not None:
             return [base] + [f"{base}.{alias.name}" for alias in node.names]
     return []
+
+
+def _is_repair_expression(node: Optional[ast.AST]) -> bool:
+    """``<a> - <b> | <c>``: a base set minus deletions, plus insertions."""
+
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.BitOr)
+        and isinstance(node.left, ast.BinOp)
+        and isinstance(node.left.op, ast.Sub)
+    )
+
+
+def _materialiser_calls(rel_path: str, tree: ast.AST) -> List[ast.Call]:
+    """``from_facts`` calls building a repair outside the candidate store."""
+
+    repair_names = {
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and _is_repair_expression(node.value)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    exempt = set()
+    if rel_path == STORE_OWNER[0]:
+        exempt = {
+            id(inner)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and node.name == STORE_OWNER[1]
+            for inner in ast.walk(node)
+        }
+    calls = []
+    for node in ast.walk(tree):
+        if (
+            not isinstance(node, ast.Call)
+            or id(node) in exempt
+            or not isinstance(node.func, ast.Attribute)
+            or node.func.attr != "from_facts"
+        ):
+            continue
+        facts = node.args[0] if node.args else next(
+            (kw.value for kw in node.keywords if kw.arg == "facts"), None
+        )
+        if _is_repair_expression(facts) or (
+            isinstance(facts, ast.Name) and facts.id in repair_names
+        ):
+            calls.append(node)
+    return calls
 
 
 def check_source(rel_path: str, source: str) -> List[Violation]:
@@ -392,6 +448,20 @@ def check_source(rel_path: str, source: str) -> List[Violation]:
                     node.lineno,
                     "print() in library code; use repro.obs tracing/metrics "
                     "(or add the module to the CLI allowlist)",
+                )
+            )
+
+    # INV010 — one repair materialiser
+    for call in _materialiser_calls(rel_path, tree):
+        if not allowed(call, "INV010"):
+            violations.append(
+                Violation(
+                    "INV010",
+                    rel_path,
+                    call.lineno,
+                    "repair materialised outside the candidate store; build "
+                    "it through repro.core.parallel.FrontierCandidates.instance "
+                    "so each repair is built once for every consumer",
                 )
             )
 
