@@ -37,7 +37,6 @@ from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Iterator, List, Opt
 
 from repro.relational.domain import Constant, NULL, constant_sort_key, is_null
 from repro.relational.instance import DatabaseInstance, Fact
-from repro.constraints.atoms import Atom
 from repro.constraints.ic import (
     AnyConstraint,
     ConstraintSet,

@@ -17,7 +17,8 @@ The subsystem:
 * :mod:`repro.rewriting.conflicts` — materialises the conflict graph of
   an instance (pairwise violations), in memory or through the SQL
   backend, and estimates the repair count;
-* :mod:`repro.rewriting.residues` — the per-atom certainty conditions;
+* :mod:`repro.rewriting.residues` — the per-atom certainty conditions,
+  each one ``(constraint, occurrence)`` violation condition;
 * :mod:`repro.rewriting.rewriter` — builds :class:`RewrittenQuery` with
   a fast in-memory evaluator, a first-order formula rendering and a SQL
   compilation;
@@ -44,14 +45,7 @@ from repro.rewriting.fragment import (
     fd_shape,
 )
 from repro.rewriting.conflicts import ConflictEdge, ConflictGraph, ConflictMark
-from repro.rewriting.residues import (
-    CheckResidue,
-    DenialResidue,
-    FDResidue,
-    NotNullResidue,
-    Residue,
-    RICResidue,
-)
+from repro.rewriting.residues import Residue
 from repro.rewriting.rewriter import AtomRewriting, RewrittenQuery, rewrite_query
 from repro.rewriting.sqlgen import rewritten_query_sql
 from repro.rewriting.planner import CQAPlan, plan_cqa
@@ -67,11 +61,6 @@ __all__ = [
     "ConflictEdge",
     "ConflictMark",
     "Residue",
-    "NotNullResidue",
-    "CheckResidue",
-    "FDResidue",
-    "RICResidue",
-    "DenialResidue",
     "AtomRewriting",
     "RewrittenQuery",
     "rewrite_query",

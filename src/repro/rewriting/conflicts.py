@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Set, Tuple, Union
 
-from repro.relational.domain import Constant, is_null
+from repro.relational.domain import is_null
 from repro.relational.instance import DatabaseInstance, Fact
 from repro.constraints.ic import (
     AnyConstraint,

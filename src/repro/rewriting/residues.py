@@ -1,55 +1,52 @@
-"""Per-atom certainty residues.
+"""Per-atom certainty residues: one violation condition, three renderings.
 
 The rewriting of :mod:`repro.rewriting.rewriter` turns a conjunctive
 query ``Q`` into ``Q' = Q ∧ ⋀ residues``: each query atom picks up a
 conjunction of *residues* — first-order conditions on the matched fact
 that hold iff the fact (or, for unpinned key atoms, its conflict group)
-survives in **every** repair.  The residues mirror the violation
-conditions of :func:`repro.core.satisfaction.violations` exactly, so
-each condition is the literal negation of "this fact participates in a
-live violation":
+survives in **every** repair.  Inside the fragment of
+:mod:`repro.rewriting.fragment` that is always the negation of "this fact
+joins a live violation" under ``|=_N`` (Definition 4), so a residue is a
+pair ``(constraint, occurrence)`` — :class:`ConstraintResidue`: the
+matched fact, taken as body atom *occurrence* of the constraint, is part
+of no violation.  The rewriter attaches
 
-* :class:`NotNullResidue` — the protected attribute is not null (a
-  violating fact is deleted in every repair);
-* :class:`CheckResidue` — the single-atom denial/check constraint does
-  not fire on the fact (same forced deletion);
-* :class:`RICResidue` — the referential constraint is satisfied by the
-  fact in ``D`` itself: a dangling fact is deleted in the repairs that do
-  not insert the null-padded witness, and an inserted witness is never
-  in every repair, so certainty coincides with plain satisfaction;
-* :class:`FDResidue` — no conflicting partner exists in the fact's key
-  group (the fragment keeps checks and non-determinant NNCs off keyed
-  predicates, so every partner survives in some repair and the branch
-  deleting the fact instead always exists);
-* :class:`DenialResidue` — the fact participates in no ground violation
-  of a multi-atom denial constraint (every such violation has a repair
-  deleting this particular participant).
+* ``(check, 0)`` for a single-atom denial/check constraint and
+  ``(ric, 0)`` for a referential constraint on the atom's predicate — a
+  violating fact is deleted in every repair (an inserted RIC witness is
+  never in *every* repair, so certainty is plain satisfaction in ``D``);
+* ``(fd, 0)`` for every functional dependency of a pinned key — any
+  conflicting partner makes the fact uncertain, because the fragment
+  keeps partners alive, so the branch deleting this fact always exists;
+* ``(denial, i)`` for every body occurrence ``i`` of the atom's predicate
+  in a multi-atom denial — every violation has a repair deleting this
+  participant.
 
-Every residue evaluates three ways: in memory, as a filter on the
-matched row (:meth:`holds`, which
-:meth:`~repro.rewriting.rewriter.RewrittenQuery.answers` calls once per
-distinct row of a complete match), as a first-order formula
-(:meth:`formula`, for the paper-faithful ``Q'``), and as SQL (rendered
-by :mod:`repro.rewriting.sqlgen`).
+:class:`NotNullResidue` stays separate, since a NOT NULL constraint is not
+of form (1): its condition is that the protected attribute is not null.
 
-The in-memory evaluators execute the **compiled delta plans** of
-:mod:`repro.compile.kernel`: "does this fact participate in a live
-violation?" is exactly one early-exit run of the constraint's seeded
-plan with the fact pinned at the relevant body occurrence
-(:meth:`~repro.compile.kernel.CompiledConstraint.has_violation_at`), so
-residue checking, constraint checking and the incremental tracker share
-one compiled definition of the violation conditions and can never
-drift.  Each residue binds its compiled unit(s) once, when it is built,
-so a row check is one direct seeded run with no memo lookup.
+The one violation condition has three renderings, one each:
+
+* in memory, :meth:`~ConstraintResidue.holds` — one early-exit run of the
+  constraint's compiled seeded plan with the fact pinned at the
+  occurrence (:meth:`~repro.compile.kernel.CompiledConstraint.has_violation_at`),
+  the same plans the violation sweep and the repair search run;
+* as a first-order formula, :meth:`~ConstraintResidue.formula` — built
+  by :func:`violation_formula` for the paper-faithful ``Q'``;
+* as SQL, :meth:`~ConstraintResidue.sql` — the condition
+  :func:`repro.sqlbackend.backend.ic_violation_sql` renders for
+  :func:`~repro.sqlbackend.backend.violation_sql`, pinned at the
+  occurrence to the query atom's table alias.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.relational.domain import Constant, is_null
 from repro.relational.instance import DatabaseInstance
+from repro.relational.schema import DatabaseSchema
 from repro.compile.kernel import CompiledConstraint, compiled_constraint
 from repro.constraints.atoms import Atom, Comparison, IsNullAtom
 from repro.constraints.ic import IntegrityConstraint, NotNullConstraint
@@ -67,7 +64,7 @@ from repro.logic.formula import (
     conjunction,
     disjunction,
 )
-from repro.rewriting.fragment import KeyInfo
+from repro.sqlbackend.backend import _column, ic_violation_sql
 
 
 Row = Tuple[Constant, ...]
@@ -83,16 +80,6 @@ class FreshVariables:
     def next(self) -> Variable:
         self._count += 1
         return Variable(f"{self._prefix}{self._count}")
-
-
-class _NoRelations:
-    """A relation view with no rows (single-atom plans never probe it)."""
-
-    def tuples_matching(self, predicate: str, bound: Mapping[int, Constant]) -> Tuple[Row, ...]:
-        return ()
-
-
-_NO_RELATIONS = _NoRelations()
 
 
 # --------------------------------------------------------------------------- residues
@@ -112,21 +99,10 @@ class Residue:
 
         raise NotImplementedError
 
+    def sql(self, alias: str, schema: DatabaseSchema) -> str:
+        """The condition as SQL over the query atom's table *alias*."""
 
-def _term_for(check_term: Term, var_positions: Mapping[Variable, int], terms: Sequence[Term]) -> Term:
-    """Translate a constraint term into the query atom's term language."""
-
-    if is_variable(check_term):
-        return terms[var_positions[check_term]]
-    return check_term
-
-
-def _first_positions(atom: Atom) -> Dict[Variable, int]:
-    positions: Dict[Variable, int] = {}
-    for index, term in enumerate(atom.terms):
-        if is_variable(term) and term not in positions:
-            positions[term] = index
-    return positions
+        raise NotImplementedError
 
 
 def _not_null_formula(term: Term) -> Formula:
@@ -147,299 +123,113 @@ class NotNullResidue(Residue):
     def formula(self, terms: Sequence[Term], fresh: FreshVariables) -> Formula:
         return _not_null_formula(terms[self.constraint.position])
 
+    def sql(self, alias: str, schema: DatabaseSchema) -> str:
+        column = _column(schema, self.constraint.predicate, self.constraint.position, alias)
+        return f"{column} IS NOT NULL"
+
     def __repr__(self) -> str:
         return f"not-null[{self.constraint.predicate}[{self.constraint.position + 1}]]"
 
 
 @dataclass
-class CheckResidue(Residue):
-    """The single-atom denial/check constraint does not fire on the fact."""
+class ConstraintResidue(Residue):
+    """The fact, as body atom *occurrence* of *constraint*, joins no violation."""
 
     constraint: IntegrityConstraint
+    occurrence: int
     unit: CompiledConstraint = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        # Bound once, so a row check is one direct seeded run.
         self.unit = compiled_constraint(self.constraint)  # type: ignore[assignment]
 
     def holds(self, row: Row, instance: DatabaseInstance) -> bool:
-        # The fact is pinned at the only body occurrence, so the
-        # relevant-null guard and the built-in disjunction (both resolved
-        # at compile time) decide without touching any relation.
-        return not self.unit.has_violation_at(_NO_RELATIONS, 0, row)  # type: ignore[arg-type]
+        return not self.unit.has_violation_at(instance, self.occurrence, row)
 
     def formula(self, terms: Sequence[Term], fresh: FreshVariables) -> Formula:
-        return check_cert_formula(self.constraint, terms)
+        return violation_formula(self.constraint, self.occurrence, terms, fresh)
 
-    def __repr__(self) -> str:
-        return f"check[{self.constraint.name or repr(self.constraint)}]"
-
-
-def check_cert_formula(check: IntegrityConstraint, terms: Sequence[Term]) -> Formula:
-    """``¬(pattern ∧ relevant-non-null ∧ ¬ϕ)`` over the query atom's *terms*."""
-
-    atom = check.body[0]
-    var_positions = _first_positions(atom)
-    violation: List[Formula] = []
-    # Pattern: constants and repeated variables of the constraint atom.
-    for position, term in enumerate(atom.terms):
-        if not is_variable(term):
-            violation.append(ComparisonFormula(Comparison("=", terms[position], term)))
-        elif var_positions[term] != position:
-            violation.append(
-                ComparisonFormula(
-                    Comparison("=", terms[position], terms[var_positions[term]])
-                )
-            )
-    for variable in sorted(relevant_body_variables(check), key=lambda v: v.name):
-        violation.append(_not_null_formula(terms[var_positions[variable]]))
-    satisfied = disjunction(
-        [
-            ComparisonFormula(
-                Comparison(
-                    comparison.op,
-                    _term_for(comparison.left, var_positions, terms),
-                    _term_for(comparison.right, var_positions, terms),
-                )
-            )
-            for comparison in check.head_comparisons
-        ]
-    )
-    violation.append(Not(satisfied))
-    return Not(conjunction(violation))
-
-
-@dataclass
-class FDResidue(Residue):
-    """No conflicting partner in the fact's key group.
-
-    A partner is a row with the same (non-null) determinant whose
-    dependent value is non-null and different: the repair branch deleting
-    this fact instead of the partner always exists, so any partner makes
-    the fact uncertain.  (The fragment guarantees partners cannot be
-    "dead on arrival" — keyed predicates carry no checks and only
-    determinant NNCs — so no refinement by partner liveness is needed,
-    and none would survive ``≤_D``'s null-coverage quirk anyway.)
-    """
-
-    key: KeyInfo
-    units: Tuple[CompiledConstraint, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.units = tuple(compiled_constraint(fd.constraint) for fd in self.key.fds)  # type: ignore[misc]
-
-    @property
-    def constraint(self) -> object:  # type: ignore[override]
-        return self.key.fds[0].constraint
-
-    def holds(self, row: Row, instance: DatabaseInstance) -> bool:
-        # One compiled seeded run per FD of the key: a conflicting
-        # partner is exactly a live violation with this row pinned at
-        # the first body occurrence (the determinant join, the null
-        # guards on determinant and dependent, and the equality
-        # disjunct are all resolved in the compiled plan).
-        for unit in self.units:
-            if unit.has_violation_at(instance, 0, row):
-                return False
-        return True
-
-    def formula(self, terms: Sequence[Term], fresh: FreshVariables) -> Formula:
-        arity = self.key.fds[0].constraint.body[0].arity
-        partner_vars: List[Variable] = [fresh.next() for _ in range(arity)]
-        conjuncts: List[Formula] = [
-            AtomFormula(Atom(self.key.predicate, partner_vars))
-        ]
-        for position in self.key.determinant:
-            conjuncts.append(
-                ComparisonFormula(Comparison("=", partner_vars[position], terms[position]))
-            )
-            conjuncts.append(_not_null_formula(terms[position]))
-        per_fd: List[Formula] = []
-        for fd in self.key.fds:
-            per_fd.append(
-                conjunction(
-                    [
-                        _not_null_formula(terms[fd.dependent]),
-                        _not_null_formula(partner_vars[fd.dependent]),
-                        ComparisonFormula(
-                            Comparison("!=", partner_vars[fd.dependent], terms[fd.dependent])
-                        ),
-                    ]
-                )
-            )
-        conjuncts.append(disjunction(per_fd))
-        return Not(Exists(partner_vars, conjunction(conjuncts)))
-
-    def __repr__(self) -> str:
-        determinant = ",".join(str(p + 1) for p in self.key.determinant)
-        return f"key[{self.key.predicate}[{determinant}]]"
-
-
-@dataclass
-class RICResidue(Residue):
-    """The referential constraint is satisfied by the fact in ``D`` itself."""
-
-    constraint: IntegrityConstraint
-    unit: CompiledConstraint = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.unit = compiled_constraint(self.constraint)  # type: ignore[assignment]
-        body_atom = self.constraint.body[0]
-        head_atom = self.constraint.head_atoms[0]
-        positions = relevant_positions(self.constraint)
-        kept = positions.get(head_atom.predicate, tuple(range(head_atom.arity)))
-        body_vars = self.constraint.body_variables()
-        self.body_atom = body_atom
-        self.head_atom = head_atom
-        self.relevant_vars = relevant_body_variables(self.constraint)
-        self.bound_kept: Tuple[int, ...] = tuple(
-            p for p in kept
-            if is_variable(head_atom.terms[p]) and head_atom.terms[p] in body_vars
-        )
-        self.constant_kept: Tuple[int, ...] = tuple(
-            p for p in kept if not is_variable(head_atom.terms[p])
-        )
-        self.existential_kept: Tuple[int, ...] = tuple(
-            p
-            for p in kept
-            if is_variable(head_atom.terms[p]) and head_atom.terms[p] not in body_vars
-        )
-
-    def holds(self, row: Row, instance: DatabaseInstance) -> bool:
-        # The fact satisfies the RIC in D itself iff it is not a live
-        # dangling antecedent: one compiled seeded run, whose witness
-        # probe replaces the hand-built per-residue witness index.
-        return not self.unit.has_violation_at(instance, 0, row)
-
-    def formula(self, terms: Sequence[Term], fresh: FreshVariables) -> Formula:
-        body_atom = self.body_atom
-        head_atom = self.head_atom
-        var_positions = _first_positions(body_atom)
-        violation: List[Formula] = []
-        for position, term in enumerate(body_atom.terms):
-            if not is_variable(term):
-                violation.append(
-                    ComparisonFormula(Comparison("=", terms[position], term))
-                )
-            elif var_positions[term] != position:
-                violation.append(
-                    ComparisonFormula(
-                        Comparison("=", terms[position], terms[var_positions[term]])
-                    )
-                )
-        for variable in sorted(self.relevant_vars, key=lambda v: v.name):
-            violation.append(_not_null_formula(terms[var_positions[variable]]))
-
-        witness_vars: List[Term] = []
-        quantified: List[Variable] = []
-        existential_map: Dict[Variable, Variable] = {}
-        kept = set(self.bound_kept) | set(self.constant_kept) | set(self.existential_kept)
-        for position, term in enumerate(head_atom.terms):
-            if position not in kept:
-                variable = fresh.next()
-                quantified.append(variable)
-                witness_vars.append(variable)
-            elif position in self.constant_kept:
-                witness_vars.append(term)
-            elif position in self.bound_kept:
-                witness_vars.append(terms[var_positions[term]])
-            else:  # repeated existential: one shared fresh variable
-                mapped = existential_map.get(term)
-                if mapped is None:
-                    mapped = fresh.next()
-                    existential_map[term] = mapped
-                    quantified.append(mapped)
-                witness_vars.append(mapped)
-        witness = Exists(
-            tuple(quantified), AtomFormula(Atom(head_atom.predicate, witness_vars))
-        ) if quantified else AtomFormula(Atom(head_atom.predicate, witness_vars))
-        violation.append(Not(witness))
-        return Not(conjunction(violation))
-
-    def __repr__(self) -> str:
-        return f"ric[{self.constraint.name or repr(self.constraint)}]"
-
-
-@dataclass
-class DenialResidue(Residue):
-    """The fact does not participate (as occurrence *index*) in a violation."""
-
-    constraint: IntegrityConstraint
-    index: int
-    unit: CompiledConstraint = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.unit = compiled_constraint(self.constraint)  # type: ignore[assignment]
-
-    def holds(self, row: Row, instance: DatabaseInstance) -> bool:
-        # One compiled seeded run with the fact pinned at this body
-        # occurrence: the remaining body atoms join through the
-        # instance's hash indexes.
-        return not self.unit.has_violation_at(instance, self.index, row)
-
-    def formula(self, terms: Sequence[Term], fresh: FreshVariables) -> Formula:
-        atom = self.constraint.body[self.index]
-        var_positions = _first_positions(atom)
-        translation: Dict[Variable, Term] = {
-            variable: terms[position] for variable, position in var_positions.items()
-        }
-        violation: List[Formula] = []
-        for position, term in enumerate(atom.terms):
-            if not is_variable(term):
-                violation.append(
-                    ComparisonFormula(Comparison("=", terms[position], term))
-                )
-            elif var_positions[term] != position:
-                violation.append(
-                    ComparisonFormula(
-                        Comparison("=", terms[position], terms[var_positions[term]])
-                    )
-                )
-        quantified: List[Variable] = []
-        other_formulas: List[Formula] = []
-        for i, other in enumerate(self.constraint.body):
-            if i == self.index:
-                continue
-            other_terms: List[Term] = []
-            for term in other.terms:
-                if is_variable(term):
-                    mapped = translation.get(term)
-                    if mapped is None:
-                        mapped = fresh.next()
-                        translation[term] = mapped
-                        quantified.append(mapped)
-                    other_terms.append(mapped)
-                else:
-                    other_terms.append(term)
-            other_formulas.append(AtomFormula(Atom(other.predicate, other_terms)))
-        violation.extend(other_formulas)
-        for variable in sorted(
-            relevant_body_variables(self.constraint), key=lambda v: v.name
-        ):
-            violation.append(_not_null_formula(translation[variable]))
-        satisfied = disjunction(
-            [
-                ComparisonFormula(
-                    Comparison(
-                        comparison.op,
-                        translation.get(comparison.left, comparison.left)
-                        if is_variable(comparison.left)
-                        else comparison.left,
-                        translation.get(comparison.right, comparison.right)
-                        if is_variable(comparison.right)
-                        else comparison.right,
-                    )
-                )
-                for comparison in self.constraint.head_comparisons
-            ]
-        )
-        violation.append(Not(satisfied))
-        body = conjunction(violation)
-        if quantified:
-            return Not(Exists(tuple(quantified), body))
-        return Not(body)
+    def sql(self, alias: str, schema: DatabaseSchema) -> str:
+        return ic_violation_sql(self.constraint, schema, pin=(self.occurrence, alias))
 
     def __repr__(self) -> str:
         name = self.constraint.name or repr(self.constraint)
-        return f"denial[{name}#{self.index}]"
+        return f"no-violation[{name}#{self.occurrence}]"
 
 
+def violation_formula(
+    constraint: IntegrityConstraint,
+    occurrence: int,
+    terms: Sequence[Term],
+    fresh: FreshVariables,
+) -> Formula:
+    """``¬∃ȳ (body ∧ relevant-non-null ∧ ¬head)`` with one body atom fixed.
+
+    Body atom *occurrence* is unified with the query atom's *terms*; the
+    other body atoms range over fresh variables ``ȳ``.  The negated head
+    is the negated comparison disjunction plus, per consequent atom, a
+    ``¬∃`` witness over its relevant positions, where a repeated
+    existential variable stays one shared variable.
+    """
+
+    translation: Dict[Variable, Term] = {}
+    quantified: List[Variable] = []
+    violation: List[Formula] = []
+    for term, value in zip(constraint.body[occurrence].terms, terms):
+        if not is_variable(term):
+            violation.append(ComparisonFormula(Comparison("=", value, term)))
+        elif term in translation:
+            violation.append(ComparisonFormula(Comparison("=", value, translation[term])))
+        else:
+            translation[term] = value
+
+    def bound(term: Term) -> Term:
+        if not is_variable(term):
+            return term
+        if term not in translation:
+            variable = fresh.next()
+            translation[term] = variable
+            quantified.append(variable)
+        return translation[term]
+
+    for index, atom in enumerate(constraint.body):
+        if index != occurrence:
+            violation.append(AtomFormula(Atom(atom.predicate, [bound(t) for t in atom.terms])))
+    for variable in sorted(relevant_body_variables(constraint), key=lambda v: v.name):
+        violation.append(_not_null_formula(translation[variable]))
+    if constraint.head_comparisons:
+        satisfied = disjunction(
+            [
+                ComparisonFormula(Comparison(c.op, bound(c.left), bound(c.right)))
+                for c in constraint.head_comparisons
+            ]
+        )
+        violation.append(Not(satisfied))
+
+    positions = relevant_positions(constraint)
+    for atom in constraint.head_atoms:
+        kept = positions.get(atom.predicate, tuple(range(atom.arity)))
+        witness_vars: List[Variable] = []
+        shared: Dict[Variable, Variable] = {}
+        witness_terms: List[Term] = []
+        for position, term in enumerate(atom.terms):
+            if position not in kept:
+                variable = fresh.next()
+                witness_vars.append(variable)
+                witness_terms.append(variable)
+            elif not is_variable(term) or term in translation:
+                witness_terms.append(bound(term))
+            else:  # a repeated existential stays one shared variable
+                if term not in shared:
+                    shared[term] = fresh.next()
+                    witness_vars.append(shared[term])
+                witness_terms.append(shared[term])
+        witness: Formula = AtomFormula(Atom(atom.predicate, witness_terms))
+        if witness_vars:
+            witness = Exists(tuple(witness_vars), witness)
+        violation.append(Not(witness))
+
+    body = conjunction(violation)
+    if quantified:
+        return Not(Exists(tuple(quantified), body))
+    return Not(body)

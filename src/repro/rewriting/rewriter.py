@@ -58,13 +58,10 @@ from repro.rewriting.fragment import (
     analyze_constraints,
 )
 from repro.rewriting.residues import (
-    CheckResidue,
-    DenialResidue,
-    FDResidue,
+    ConstraintResidue,
     FreshVariables,
     NotNullResidue,
     Residue,
-    RICResidue,
 )
 
 
@@ -257,10 +254,10 @@ def _rewrite_atom(
     residues: List[Residue] = []
     for nnc in analysis.not_nulls.get(predicate, []):
         residues.append(NotNullResidue(nnc))
-    for check in analysis.checks.get(predicate, []):
-        residues.append(CheckResidue(check))
-    for ric in analysis.rics_with_antecedent(predicate):
-        residues.append(RICResidue(ric))
+    for constraint in analysis.checks.get(predicate, []):
+        residues.append(ConstraintResidue(constraint, 0))
+    for constraint in analysis.rics_with_antecedent(predicate):
+        residues.append(ConstraintResidue(constraint, 0))
 
     mode = "plain"
     denials = analysis.denials_mentioning(predicate)
@@ -278,7 +275,7 @@ def _rewrite_atom(
         for denial in denials:
             for index, body_atom in enumerate(denial.body):
                 if body_atom.predicate == predicate:
-                    residues.append(DenialResidue(denial, index))
+                    residues.append(ConstraintResidue(denial, index))
         mode = "denial-pinned"
 
     key = analysis.keys.get(predicate)
@@ -312,7 +309,8 @@ def _rewrite_atom(
                 predicate=predicate,
             )
         if pinned:
-            residues.append(FDResidue(key))
+            # FDs are symmetric, so occurrence 0 covers every partner.
+            residues.extend(ConstraintResidue(fd.constraint, 0) for fd in key.fds)
             mode = "key-pinned"
         else:
             # All non-determinant positions unpinned: every repair keeps at

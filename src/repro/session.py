@@ -57,7 +57,6 @@ from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING,
     Any,
-    Dict,
     FrozenSet,
     Iterable,
     Iterator,
@@ -70,7 +69,7 @@ from typing import (
 )
 
 from repro.constraints.ic import AnyConstraint, ConstraintSet
-from repro.core.cqa import AnswerTuple, CQAResult, result_from_repairs
+from repro.core.cqa import AnswerTuple, CQAResult
 from repro.core.repairs import (
     RepairEngine,
     RepairStatistics,
@@ -1071,7 +1070,7 @@ class ConsistentDatabase:
             max_states=None if config.degrade else config.max_states,
             violation_index=self._violation_index,
             budget=budget,
-            seed_tracker=self._ensure_tracker(),
+            seed_tracker=self._ensure_tracker() if config.workers <= 1 else None,
         )
         stream = AnytimeRepairStream(search)
         self.last_degradation = None
@@ -1132,9 +1131,9 @@ class ConsistentDatabase:
     def repairs_list(self, method: str, config: CQAConfig) -> List[DatabaseInstance]:
         """The repairs of the current instance, cached per generation.
 
-        ``"direct"`` runs :class:`RepairEngine` — its frontier search
-        warm-started from the session's violation tracker, so no full
-        violation sweep happens per query — and ``"program"``
+        ``"direct"`` runs :class:`RepairEngine` — its inline frontier
+        search warm-started from the session's violation tracker, so no
+        full violation sweep happens per query — and ``"program"``
         the stable-model route.  Engines and the repair iterator share
         this cache; treat the returned list and its instances as
         read-only.
@@ -1160,7 +1159,10 @@ class ConsistentDatabase:
                 violation_index=self._violation_index,
                 workers=config.workers,
             )
-            seed = self._ensure_tracker() if config.repair_mode != "naive" else None
+            # Only the inline frontier search reads a seed: pool workers
+            # and the naive oracle sweep on their own.
+            warm = config.repair_mode != "naive" and config.workers <= 1
+            seed = self._ensure_tracker() if warm else None
             with self._budget_scope(config):
                 found = engine.repairs(self._instance, seed_tracker=seed)
             self.last_repair_statistics = engine.statistics

@@ -2,13 +2,18 @@
 
 The backend serves three purposes:
 
-1. **Violation SQL** — :func:`violation_sql` compiles a constraint into a
-   ``SELECT`` that returns one row per ground violation under the paper's
-   null-aware semantics ``|=_N``; :meth:`SQLiteBackend.is_consistent`
-   checks that every such query is empty.  This demonstrates that the
-   semantics of Definition 4 is implementable by query rewriting on a
-   stock SQL engine (the sqlglot/sqlalchemy-style rewriting the
-   reproduction plan calls for, written by hand against the stdlib).
+1. **Violation SQL** — :func:`ic_violation_sql` is the one SQL rendering
+   of a constraint's violation condition under the paper's null-aware
+   semantics ``|=_N`` (Definition 4): the body join, the relevant-null
+   guard and the negated consequent.  Left unpinned it is
+   :func:`violation_sql`, a ``SELECT`` with one row per ground
+   violation, and :meth:`SQLiteBackend.is_consistent` checks that every
+   such query is empty.  Pinned at one body occurrence to a table alias
+   of an enclosing query it is a rewriting residue (see
+   :mod:`repro.rewriting.residues`): the condition that the row under
+   that alias joins no violation.  The in-memory compiled plans and the
+   residues' first-order formulas are the other two renderings of the
+   same condition.
 2. **Native acceptance** — :meth:`SQLiteBackend.accepts_natively` loads the
    instance into tables created with native PRIMARY KEY / FOREIGN KEY /
    CHECK / NOT NULL clauses and reports whether the engine accepts it,
@@ -21,7 +26,7 @@ The backend serves three purposes:
 from __future__ import annotations
 
 import sqlite3
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.relational.domain import Constant, NULL, is_null
 from repro.relational.instance import DatabaseInstance
@@ -43,12 +48,28 @@ from repro.sqlbackend.ddl import (
     _quote_identifier,
     _sql_literal,
     create_table_statements,
-    insert_statements,
 )
 
 
 def _operator(op: str) -> str:
     return "<>" if op == "!=" else op
+
+
+def _column(schema: DatabaseSchema, predicate: str, position: int, alias: str) -> str:
+    attribute = schema.relation(predicate).attribute(position)
+    return f"{alias}.{_quote_identifier(attribute)}"
+
+
+def _nullsafe_eq(left: str, right: str) -> str:
+    return f"({left} = {right} OR ({left} IS NULL AND {right} IS NULL))"
+
+
+def _value_eq(column: str, value: object) -> str:
+    """*column* matches the constant *value* (``null`` matches ``NULL``)."""
+
+    if is_null(value):
+        return f"{column} IS NULL"
+    return f"{column} = {_sql_literal(value)}"
 
 
 # --------------------------------------------------------------------------- violation SQL
@@ -63,94 +84,121 @@ def violation_sql(
         return (
             f"SELECT * FROM {_quote_identifier(relation.name)} WHERE {column} IS NULL"
         )
-    return _ic_violation_sql(constraint, schema)
+    return ic_violation_sql(constraint, schema)
 
 
-def _column(schema: DatabaseSchema, predicate: str, position: int, alias: str) -> str:
-    attribute = schema.relation(predicate).attribute(position)
-    return f"{alias}.{_quote_identifier(attribute)}"
+def ic_violation_sql(
+    constraint: IntegrityConstraint,
+    schema: DatabaseSchema,
+    pin: Optional[Tuple[int, str]] = None,
+) -> str:
+    """The violation condition of *constraint* under ``|=_N``, as SQL.
 
+    Unpinned, a ``SELECT *`` with one row per ground violation.  With
+    ``pin=(occurrence, alias)`` body atom *occurrence* is the row of the
+    enclosing query's table *alias*, and the result is the condition
+    that this row joins no violation: ``NOT EXISTS (SELECT 1 …)`` over
+    the other body atoms, or ``NOT (…)`` when there are none.
 
-def _ic_violation_sql(constraint: IntegrityConstraint, schema: DatabaseSchema) -> str:
-    positions = relevant_positions(constraint)
-    relevant_vars = relevant_body_variables(constraint)
+    Joined columns compare with plain ``=``: every joined variable is
+    relevant, and the guard requires relevant variables to be non-null.
+    Constants in patterns and witnesses match ``null`` as an ordinary
+    value, like the in-memory matcher.
+    """
 
+    prefix = "t" if pin is None else f"{pin[1]}_"
     from_parts: List[str] = []
     conditions: List[str] = []
-    variable_columns: Dict[Variable, str] = {}
+    columns: Dict[Variable, str] = {}
 
     for index, atom in enumerate(constraint.body):
-        alias = f"t{index}"
-        from_parts.append(f"{_quote_identifier(atom.predicate)} AS {alias}")
+        if pin is not None and index == pin[0]:
+            alias = pin[1]
+        else:
+            alias = f"{prefix}{index}"
+            from_parts.append(f"{_quote_identifier(atom.predicate)} AS {alias}")
         for position, term in enumerate(atom.terms):
             column = _column(schema, atom.predicate, position, alias)
-            if is_variable(term):
-                bound = variable_columns.get(term)
-                if bound is None:
-                    variable_columns[term] = column
-                else:
-                    conditions.append(f"{column} = {bound}")
+            if not is_variable(term):
+                conditions.append(_value_eq(column, term))
+            elif term in columns:
+                conditions.append(f"{column} = {columns[term]}")
             else:
-                conditions.append(f"{column} = {_sql_literal(term)}")
+                columns[term] = column
 
-    for variable in sorted(relevant_vars, key=lambda v: v.name):
-        conditions.append(f"{variable_columns[variable]} IS NOT NULL")
+    for variable in sorted(relevant_body_variables(constraint), key=lambda v: v.name):
+        conditions.append(f"{columns[variable]} IS NOT NULL")
 
-    for atom in constraint.head_atoms:
+    positions = relevant_positions(constraint)
+    for index, atom in enumerate(constraint.head_atoms):
+        kept = positions.get(atom.predicate, tuple(range(atom.arity)))
         conditions.append(
-            "NOT EXISTS (" + _witness_subquery(constraint, atom, schema, positions, variable_columns) + ")"
+            "NOT EXISTS ("
+            + _witness_subquery(atom, schema, kept, columns, f"{prefix}w{index}")
+            + ")"
         )
 
     if constraint.head_comparisons:
-        comparison_parts = []
-        for comparison in constraint.head_comparisons:
-            left = (
-                variable_columns[comparison.left]
-                if is_variable(comparison.left)
-                else _sql_literal(comparison.left)
-            )
-            right = (
-                variable_columns[comparison.right]
-                if is_variable(comparison.right)
-                else _sql_literal(comparison.right)
-            )
-            comparison_parts.append(f"{left} {_operator(comparison.op)} {right}")
-        conditions.append("NOT (" + " OR ".join(comparison_parts) + ")")
+        satisfied = [
+            _comparison_sql(comparison, columns)
+            for comparison in constraint.head_comparisons
+        ]
+        conditions.append("NOT (" + " OR ".join(satisfied) + ")")
 
     where = " AND ".join(conditions) if conditions else "1 = 1"
-    return f"SELECT * FROM {', '.join(from_parts)} WHERE {where}"
+    if pin is None:
+        return f"SELECT * FROM {', '.join(from_parts)} WHERE {where}"
+    if from_parts:
+        return f"NOT EXISTS (SELECT 1 FROM {', '.join(from_parts)} WHERE {where})"
+    return f"NOT ({where})"
+
+
+def _comparison_sql(comparison: Comparison, columns: Dict[Variable, str]) -> str:
+    """A consequent comparison over guarded (non-null) body columns.
+
+    A ``null`` constant cannot be compared in SQL, so its outcome is
+    decided here as :meth:`Comparison.evaluate` decides it: ``null``
+    equals only ``null``, and order comparisons against it fail.
+    """
+
+    sides = (comparison.left, comparison.right)
+    nulls = [not is_variable(term) and is_null(term) for term in sides]
+    if any(nulls):
+        equal = all(nulls)
+        holds = {"=": equal, "!=": not equal}.get(comparison.op, False)
+        return "1 = 1" if holds else "1 = 0"
+    left, right = (
+        columns[term] if is_variable(term) else _sql_literal(term) for term in sides
+    )
+    return f"{left} {_operator(comparison.op)} {right}"
 
 
 def _witness_subquery(
-    constraint: IntegrityConstraint,
     atom: Atom,
     schema: DatabaseSchema,
-    positions: Mapping[str, Tuple[int, ...]],
-    variable_columns: Mapping[Variable, str],
+    kept: Tuple[int, ...],
+    columns: Dict[Variable, str],
+    alias: str,
 ) -> str:
-    alias = "w"
-    kept = positions.get(atom.predicate, tuple(range(atom.arity)))
-    body_vars = constraint.body_variables()
+    """A consequent atom's witnesses, compared on the relevant positions *kept*."""
+
     conditions: List[str] = []
     existential_first: Dict[Variable, str] = {}
     for position in kept:
         term = atom.terms[position]
         column = _column(schema, atom.predicate, position, alias)
-        if is_variable(term):
-            if term in body_vars:
-                conditions.append(f"{column} = {variable_columns[term]}")
-            else:
-                first = existential_first.get(term)
-                if first is None:
-                    existential_first[term] = column
-                else:
-                    # Repeated existential variable: the witness columns must
-                    # agree; null agrees with null under |=_N (Example 13).
-                    conditions.append(
-                        f"({column} = {first} OR ({column} IS NULL AND {first} IS NULL))"
-                    )
+        if not is_variable(term):
+            conditions.append(_value_eq(column, term))
+        elif term in columns:
+            conditions.append(f"{column} = {columns[term]}")
         else:
-            conditions.append(f"{column} = {_sql_literal(term)}")
+            first = existential_first.get(term)
+            if first is None:
+                existential_first[term] = column
+            else:
+                # Repeated existential variable: the witness columns must
+                # agree; null agrees with null under |=_N (Example 13).
+                conditions.append(_nullsafe_eq(column, first))
     where = " AND ".join(conditions) if conditions else "1 = 1"
     return f"SELECT 1 FROM {_quote_identifier(atom.predicate)} AS {alias} WHERE {where}"
 

@@ -208,6 +208,35 @@ class TestINV010OneRepairMaterialiser:
         assert rules_for("tests/core/test_x.py", source) == []
 
 
+class TestINV011OneResidueShape:
+    def test_a_per_kind_residue_is_flagged(self):
+        for source in (
+            "class KeyResidue(Residue):\n    pass\n",
+            "class ForeignKeyResidue(residues.Residue):\n    pass\n",
+            "class PairResidue(ConstraintResidue):\n    pass\n",
+        ):
+            assert rules_for("src/repro/rewriting/residues.py", source) == ["INV011"], source
+        source = "class JoinResidue(Residue):\n    pass\n"
+        assert rules_for("src/repro/rewriting/rewriter.py", source) == ["INV011"]
+
+    def test_the_two_shapes_are_allowed(self):
+        source = (
+            "class Residue:\n    pass\n"
+            "class NotNullResidue(Residue):\n    pass\n"
+            "class ConstraintResidue(Residue):\n    pass\n"
+            "class FreshVariables:\n    pass\n"
+        )
+        assert rules_for("src/repro/rewriting/residues.py", source) == []
+
+    def test_other_packages_are_not_checked(self):
+        source = "class CountingResidue(Residue):\n    pass\n"
+        assert rules_for("tests/rewriting/test_x.py", source) == []
+
+    def test_pragma_opts_a_line_out(self):
+        source = "class SketchResidue(Residue):  # lint: allow(INV011) reason\n    pass\n"
+        assert rules_for("src/repro/rewriting/residues.py", source) == []
+
+
 class TestINV005NoPrint:
     def test_print_in_library_code_is_flagged(self):
         assert rules_for("src/repro/core/x.py", "print('hi')\n") == ["INV005"]
@@ -328,7 +357,7 @@ class TestRepository:
         out = capsys.readouterr().out
         for rule in (
             "INV001", "INV002", "INV003", "INV004", "INV005", "INV007", "INV008",
-            "INV009", "INV010",
+            "INV009", "INV010", "INV011",
         ):
             assert rule in out
         assert "INV006" not in out  # retired

@@ -213,6 +213,20 @@ class TestFrontierSearchAgainstOracle:
         assert result.repair_count == 27
         assert db.last_repair_statistics.violation_updates > 0
 
+    def test_pool_search_leaves_the_session_tracker_unbuilt(self):
+        """Pool workers sweep on their own, so the driver builds no tracker."""
+
+        instance, constraints = grouped_key_workload(
+            n_groups=3, group_size=3, n_clean=5, seed=0
+        )
+        db = ConsistentDatabase(instance, constraints, method="direct", workers=2)
+        sweeps = metrics.counter("repro_tracker_sweeps_total")
+        before = sweeps.value
+        query = parse_query("ans(e) <- Emp(e, d, s)")
+        assert db.report(query).repair_count == 27
+        assert db.certain(query, ("e0",), anytime=True) is True
+        assert sweeps.value == before
+
     def test_warm_session_anytime_certain_runs_no_full_sweep(self):
         """The stream warm-starts from the session tracker, like report()."""
 

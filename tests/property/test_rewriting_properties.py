@@ -13,6 +13,13 @@ get right beyond plain projections: comparisons under both null
 conventions, constants inside atoms, same-predicate self-joins (where a
 residue list read at the wrong body position shows) and queries over a
 multi-atom denial set and a check + RIC set.
+
+A third sweep pins the three renderings of every residue's violation
+condition to each other — the compiled plans behind
+``RewrittenQuery.answers``, the first-order formula of ``to_formula()``
+and the SQL ``SQLiteBackend`` runs — over random constraint sets drawn
+from a pool inside the fragment (a key of two FDs, RICs, checks,
+multi-atom denials and a NOT NULL, several with ``null`` constants).
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -31,7 +38,8 @@ from repro.core.cqa import consistent_answers
 from repro.relational.domain import NULL
 from repro.relational.instance import DatabaseInstance
 from repro.relational.schema import DatabaseSchema
-from repro.rewriting import RewritingUnsupportedError, rewrite_query
+from repro.rewriting import RewritingUnsupportedError, analyze_constraints, rewrite_query
+from repro.sqlbackend.backend import SQLiteBackend
 
 
 def _v(name):
@@ -182,3 +190,90 @@ class TestRewritingAgreesWithEnumeration:
             assert rewritten.to_formula().answers(instance) == rewritten.answers(
                 instance
             ), query
+
+
+# --------------------------------------------------------------------------- three renderings
+RENDER_SCHEMA = DatabaseSchema.from_dict(
+    {"K": ["A", "B", "C"], "S": ["U", "V"], "T": ["X", "Y"], "W": ["P", "Q"], "Z": ["E", "F", "G"]}
+)
+
+#: Any subset of this pool that the fragment accepts is a drawn constraint set.
+RENDER_POOL = [
+    parse_constraint(text)
+    for text in (
+        "K(a, b, c), K(a, e, f) -> b = e",  # two FDs: one key, two residues
+        "K(a, b, c), K(a, e, f) -> c = f",
+        "K(a, b, c), isnull(a) -> false",
+        "S(u, v) -> K(v, y, z)",
+        "S(u, null) -> K(u, y, z)",
+        "S(u, v) -> Z(v, y, y)",  # a repeated existential: one shared variable
+        "S(u, v) -> u != v",
+        "S(null, v) -> false",
+        "T(x, y), W(y, z) -> false",
+        "T(x, y), T(y, x) -> x = y",
+        "T(x, null), W(x, z) -> z = null",
+    )
+]
+
+RENDER_QUERIES = [
+    parse_query(text)
+    for text in (
+        "ans(a, b, c) <- K(a, b, c)",
+        "ans(a) <- K(a, b, c)",
+        "ans(a, c) <- K(a, null, c)",
+        "ans(u, v) <- S(u, v)",
+        "ans(u, v, b, c) <- S(u, v), K(v, b, c)",
+        "ans(u) <- S(u, v), K(v, b, c)",
+        "ans(x, y) <- T(x, y)",
+        "ans(x) <- T(x, null)",
+        "ans(x, y, z) <- T(x, y), W(y, z)",
+    )
+]
+
+
+@st.composite
+def rendered_cases(draw):
+    """A fragment constraint set from the pool and a small instance over it."""
+
+    chosen = [c for c in RENDER_POOL if draw(st.booleans())]
+    rows = {
+        name: draw(st.lists(st.tuples(*[VALUES] * arity), max_size=3))
+        for name, arity in (("K", 3), ("S", 2), ("T", 2), ("W", 2), ("Z", 3))
+    }
+    return chosen, DatabaseInstance.from_dict(rows, schema=RENDER_SCHEMA)
+
+
+class TestThreeRenderingsAgree:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(rendered_cases())
+    def test_plans_formula_and_sql_agree(self, case):
+        constraints, instance = case
+        try:
+            analysis = analyze_constraints(constraints)
+        except RewritingUnsupportedError:
+            return
+        with SQLiteBackend(instance, constraints) as backend:
+            for query in RENDER_QUERIES:
+                try:
+                    rewritten = rewrite_query(query, analysis)
+                except RewritingUnsupportedError:
+                    continue
+                in_memory = rewritten.answers(instance)
+                assert rewritten.to_formula().answers(instance) == in_memory, query
+                assert (
+                    backend.consistent_answers(query, rewritten, null_is_unknown=False)
+                    == in_memory
+                ), query
+
+    def test_the_pool_reaches_every_residue_shape(self):
+        """The whole pool is inside the fragment, multi-FD key included."""
+
+        analysis = analyze_constraints(RENDER_POOL)
+        assert len(analysis.keys["K"].fds) == 2
+        shapes = {
+            type(residue).__name__ + str(getattr(residue, "occurrence", ""))
+            for query in RENDER_QUERIES
+            for atom in rewrite_query(query, analysis).atoms
+            for residue in atom.residues
+        }
+        assert shapes == {"NotNullResidue", "ConstraintResidue0", "ConstraintResidue1"}

@@ -204,7 +204,7 @@ class TestRenderings:
         rewritten = rewrite_query(query, constraints)
         text = rewritten.explain()
         assert "key-group" in text  # parent atom: unpinned non-key position
-        assert "ric[" in text  # child atom carries the FK residue
+        assert "no-violation[child_parent_fk#0]" in text  # child atom carries the FK residue
 
     def test_modes_depend_on_pinning(self):
         query_pinned = parse_query("ans(x, y) <- R(x, y)")
@@ -220,7 +220,7 @@ class TestCompiledJoin:
         from repro.rewriting import residues
 
         calls = []
-        for cls in (residues.FDResidue, residues.RICResidue, residues.NotNullResidue):
+        for cls in (residues.ConstraintResidue, residues.NotNullResidue):
             original = cls.holds
 
             def counted(self, row, instance, _original=original):

@@ -50,6 +50,32 @@ class TestViolationSQL:
         with SQLiteBackend(db, [nnc]) as backend:
             assert len(backend.violations(nnc)) == 1
 
+    def test_null_constant_in_the_antecedent_matches_null(self):
+        """A ``null`` constant renders as ``IS NULL``, never ``= NULL``."""
+
+        from repro import ConsistentDatabase
+        from repro.rewriting import ConflictGraph
+
+        constraint = parse_constraint("P(x, null) -> Q(x)")
+        db = DatabaseInstance.from_dict({"P": [(1, NULL), (2, 5)], "Q": [(9,)]})
+        session = ConsistentDatabase(db, [constraint])
+        assert session.violation_count() == 1
+        assert session.is_consistent() is False
+        with SQLiteBackend(db, [constraint]) as backend:
+            assert backend.violations(constraint) == [(1, None)]
+            assert backend.is_consistent() is False
+        assert ConflictGraph.from_sql(db, [constraint]).violation_count == 1
+        assert ConflictGraph.build(db, [constraint]).violation_count == 1
+
+    def test_null_constant_in_a_witness_matches_null(self):
+        constraint = parse_constraint("P(x) -> Q(x, null, z)")
+        db = DatabaseInstance.from_dict(
+            {"P": [(1,), (2,)], "Q": [(1, NULL, 3), (2, 4, 5)]}
+        )
+        with SQLiteBackend(db, [constraint]) as backend:
+            assert backend.violations(constraint) == [(2,)]
+        assert not satisfies(db, constraint)
+
     def test_violation_sql_text_contains_not_exists(self):
         ric = parse_constraint("Course(i, c) -> Student(i, n)")
         db = scenarios.example_14().instance

@@ -50,6 +50,11 @@ INV010    one repair materialiser: no ``from_facts(<a> - <b> | <c>)``-shaped
           outside ``FrontierCandidates`` in ``src/repro/core/parallel.py``
           — the frontier's candidate store builds each repair
           ``(D ∖ deleted) ∪ inserted`` once, for every consumer
+INV011    one residue shape: no class under ``src/repro/rewriting/``
+          derives from ``Residue`` (or from a residue class) other than
+          ``ConstraintResidue`` and ``NotNullResidue`` — every rewriting
+          residue is a ``(constraint, occurrence)`` violation condition, so
+          a per-kind residue with hand-built renderings cannot grow back
 ========  ====================================================================
 
 A line may opt out with the pragma comment ``lint: allow(INVxxx)`` and a
@@ -80,6 +85,7 @@ RULES: Dict[str, str] = {
     "INV008": "function/class/method under src/repro referenced nowhere else",
     "INV009": "rewriting module imports a private matcher instead of the compiled plan",
     "INV010": "repair (D - deleted) | inserted materialised outside the candidate store",
+    "INV011": "rewriting residue class other than ConstraintResidue/NotNullResidue",
 }
 
 CLOCK_OWNER = "src/repro/obs/clock.py"
@@ -133,6 +139,9 @@ PRIVATE_MATCHERS = frozenset(
         "repro.compile.match_atom",
     }
 )
+#: The only residue classes the rewriting package may define (INV011).
+RESIDUE_SHAPES = frozenset({"ConstraintResidue", "NotNullResidue"})
+RESIDUE_BASES = RESIDUE_SHAPES | {"Residue"}
 #: The one repair materialiser (INV010): this class of this module.
 STORE_OWNER = ("src/repro/core/parallel.py", "FrontierCandidates")
 #: CLI front ends whose job is to print.
@@ -227,6 +236,16 @@ def _imported_names(rel_path: str, node: ast.AST) -> List[str]:
         if base is not None:
             return [base] + [f"{base}.{alias.name}" for alias in node.names]
     return []
+
+
+def _base_name(base: ast.expr) -> Optional[str]:
+    """The class name a base expression refers to (``Residue``, ``m.Residue``)."""
+
+    if isinstance(base, ast.Name):
+        return base.id
+    if isinstance(base, ast.Attribute):
+        return base.attr
+    return None
 
 
 def _is_repair_expression(node: Optional[ast.AST]) -> bool:
@@ -450,6 +469,26 @@ def check_source(rel_path: str, source: str) -> List[Violation]:
                     "(or add the module to the CLI allowlist)",
                 )
             )
+
+    # INV011 — one residue shape
+    if rel_path.startswith(REWRITING_PACKAGE):
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.ClassDef)
+                and node.name not in RESIDUE_SHAPES
+                and any(_base_name(base) in RESIDUE_BASES for base in node.bases)
+                and not allowed(node, "INV011")
+            ):
+                violations.append(
+                    Violation(
+                        "INV011",
+                        rel_path,
+                        node.lineno,
+                        f"residue class {node.name!r}; express the condition as "
+                        "ConstraintResidue(constraint, occurrence), whose "
+                        "plan, formula and SQL renderings are generic",
+                    )
+                )
 
     # INV010 — one repair materialiser
     for call in _materialiser_calls(rel_path, tree):
